@@ -5,21 +5,14 @@
  * Runs the ring-tick microbenchmarks (this binary links only
  * ring_ticks.cpp, so no filter is needed) and writes a flat JSON map
  * of benchmark name → items_per_second to BENCH_ring.json (or the
- * path given as the first argument). If the output file already
- * exists, its rates become the baseline for a trailing
- * "saturated_multiplier" block: fresh/baseline speedup for every
- * saturated schedule-driven config (BM_RingTick occ:50/occ:100,
- * ref:0), plus their minimum. Regenerating over the committed file
- * therefore records the speedup against the last committed
- * trajectory point. The CI perf-smoke job regenerates the file and
- * runs scripts/perf_smoke.py against the committed copy; the JSON
- * artifact is uploaded either way.
+ * path given as the first argument). The CI perf-smoke job regenerates
+ * the file and runs scripts/perf_smoke.py against the committed copy;
+ * the JSON artifact is uploaded either way.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 
@@ -47,52 +40,6 @@ class RateCapturingReporter : public benchmark::ConsoleReporter
     }
 };
 
-/**
- * Top-level "name": rate entries of a previously written
- * BENCH_ring.json (nested blocks such as saturated_multiplier are
- * skipped by depth tracking). Empty map if the file is absent — the
- * format is exactly what main() below emits, nothing more general.
- */
-std::map<std::string, double>
-readBaseline(const char *path)
-{
-    std::map<std::string, double> rates;
-    std::ifstream in(path);
-    if (!in)
-        return rates;
-    int depth = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        long opens = 0;
-        long closes = 0;
-        for (char ch : line) {
-            if (ch == '{')
-                ++opens;
-            if (ch == '}')
-                ++closes;
-        }
-        if (depth == 1) {
-            char name[256];
-            double value = 0;
-            if (std::sscanf(line.c_str(), " \"%255[^\"]\": %lf", name,
-                            &value) == 2)
-                rates[name] = value;
-        }
-        depth += opens - closes;
-    }
-    return rates;
-}
-
-/** The configs the tentpole speedup target is stated over. */
-bool
-isSaturatedFastConfig(const std::string &name)
-{
-    return name.rfind("BM_RingTick/", 0) == 0 &&
-           (name.find("/occ:50/") != std::string::npos ||
-            name.find("/occ:100/") != std::string::npos) &&
-           name.find("ref:0") != std::string::npos;
-}
-
 } // namespace
 
 int
@@ -101,21 +48,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     const char *out_path = argc > 1 ? argv[1] : "BENCH_ring.json";
 
-    std::map<std::string, double> baseline = readBaseline(out_path);
-
     RateCapturingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
-
-    // Speedup of each saturated schedule-driven config against the
-    // rates the output file held before this run.
-    std::map<std::string, double> multipliers;
-    for (const auto &[name, rate] : reporter.rates) {
-        if (!isSaturatedFastConfig(name))
-            continue;
-        auto it = baseline.find(name);
-        if (it != baseline.end() && it->second > 0)
-            multipliers[name] = rate / it->second;
-    }
 
     std::FILE *out = std::fopen(out_path, "w");
     if (!out) {
@@ -124,23 +58,11 @@ main(int argc, char **argv)
     }
     std::fprintf(out, "{\n");
     size_t i = 0;
-    const bool trailer = !multipliers.empty();
     for (const auto &[name, rate] : reporter.rates) {
-        bool last = ++i == reporter.rates.size() && !trailer;
+        bool last = ++i == reporter.rates.size();
         std::fprintf(out, "  \"%s\": %.6g%s\n",
                      ringsim::util::jsonEscape(name).c_str(), rate,
                      last ? "" : ",");
-    }
-    if (trailer) {
-        double min_mult = 0;
-        std::fprintf(out, "  \"saturated_multiplier\": {\n");
-        for (const auto &[name, mult] : multipliers) {
-            if (min_mult == 0 || mult < min_mult)
-                min_mult = mult;
-            std::fprintf(out, "    \"%s\": %.4g,\n",
-                         ringsim::util::jsonEscape(name).c_str(), mult);
-        }
-        std::fprintf(out, "    \"min\": %.4g\n  }\n", min_mult);
     }
     std::fprintf(out, "}\n");
     std::fclose(out);

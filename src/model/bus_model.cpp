@@ -46,10 +46,10 @@ solveBus(const BusModelInput &input)
          static_cast<double>(census.instrRefs)) /
         procs * cycle;
 
-    // Closed single-queue network solved with Schweitzer approximate
-    // MVA: the N processors are the customers, each alternating
+    // Closed single-queue network solved with mean-value analysis
+    // (MVA): the N processors are the customers, each alternating
     // between "think" time (compute plus memory/cache service, which
-    // does not occupy the bus) and bus visits (tenures). AMVA is
+    // does not occupy the bus) and bus visits (tenures). MVA is
     // exact in both limits — M/G/1-like at light load and
     // work-conserving saturation at overload — which the open-queue
     // formula is not (the processors' blocking closes the loop).

@@ -3,10 +3,11 @@
  * Iterative analytic model of the split-transaction bus system.
  *
  * The bus is a single FCFS server; request and response tenures are
- * the two service classes. Waiting uses the M/G/1 mean-wait formula
- * on the tenure mix, iterated with the execution time exactly like the
- * ring model (blocking processors close the loop, so the fixed point
- * always settles below saturation).
+ * the two service classes. Waiting comes from mean-value analysis
+ * (MVA) of a closed network: the processors are the customers, each
+ * alternating between off-bus think time and bus tenures of the mean
+ * tenure mix. Blocking processors close the loop, so the wait stays
+ * finite even at saturation.
  */
 
 #ifndef RINGSIM_MODEL_BUS_MODEL_HPP

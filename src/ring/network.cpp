@@ -58,7 +58,6 @@ SlotHandle::remove()
     ring_.accrueOccupancy();
     --ring_.occCnt_[t];
     --ring_.occTotal_;
-    ++ring_.occEpoch_;
     freedHere_ = true;
     ++ring_.removed_[t];
     return ring_.msgs_[s];
@@ -78,39 +77,15 @@ SlotHandle::insert(const RingMessage &msg)
     ring_.accrueOccupancy();
     ++ring_.occCnt_[t];
     ++ring_.occTotal_;
-    ++ring_.occEpoch_;
     ring_.msgs_[s] = msg;
     ring_.insertedAtRot_[s] = ring_.rotations_;
     ring_.insertedBy_[s] = node_;
     ++ring_.inserted_[t];
 }
 
-void
-SlotRing::TickEvent::process()
-{
-    // Mirror of sim::Ticker::process with the handler call
-    // devirtualized to ring_.tick(); see the class comment. Any
-    // change to Ticker's schedule/consume protocol must land here
-    // too (the golden equivalence tests catch a divergence).
-    if (!batching_) {
-        Count this_cycle = cycle_++;
-        // Reschedule before the handler so the handler may stop() us.
-        kernel_.schedule(*this, kernel_.now() + period_);
-        ring_.tick(this_cycle);
-        return;
-    }
-    for (;;) {
-        Count this_cycle = cycle_++;
-        kernel_.phantomSchedule(*this, kernel_.now() + period_);
-        ring_.tick(this_cycle);
-        if (!kernel_.consumeIfNext(*this))
-            return;
-    }
-}
-
 SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     : kernel_(kernel), config_(config),
-      ticker_(*this, kernel, config.clockPeriod)
+      ticker_(kernel, config.clockPeriod, [this](Count c) { tick(c); })
 {
     config_.validate();
 
@@ -129,15 +104,15 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
                 static_cast<int>(idx);
         }
     }
-    nslots_ = static_cast<unsigned>(types_.size());
-    stages_ = config_.totalStages();
-    words_ = (nslots_ + 63) / 64;
+    unsigned nslots = static_cast<unsigned>(types_.size());
+    stages_ = stages;
+    words_ = (nslots + 63) / 64;
     occ_.assign(std::size_t(3) * words_, 0);
     occAny_.assign(words_, 0);
     corrupt_.assign(words_, 0);
-    msgs_.assign(nslots_, RingMessage{});
-    insertedAtRot_.assign(nslots_, 0);
-    insertedBy_.assign(nslots_, invalidNode);
+    msgs_.assign(nslots, RingMessage{});
+    insertedAtRot_.assign(nslots, 0);
+    insertedBy_.assign(nslots, invalidNode);
     blockShift_ = frame.blockShift();
 
     nodePos_.assign(config_.nodes, 0);
@@ -166,68 +141,14 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     }
     visitHead_[stages] = static_cast<std::uint32_t>(visits_.size());
 
-    // Per-rotation gather tables. The ascending-node schedule of one
-    // rotation touches slot indices in a two-segment pattern: a
-    // strictly ascending run of high indices (nodes whose stage sits
-    // below the rotation offset — their header offset wrapped), then a
-    // strictly ascending run of low indices, every high index above
-    // every low one. When that shape holds for every rotation (it does
-    // for all ring geometries config::check admits; this is verified,
-    // not assumed), iterating occupancy bits ascending within hi then
-    // lo reproduces node order and the gather can be word-granular.
-    rotMaskHi_.assign(std::size_t(stages) * words_, 0);
-    rotMaskLo_.assign(std::size_t(stages) * words_, 0);
-    visitNode_.assign(std::size_t(stages) * nslots_, invalidNode);
-    masksValid_ = true;
-    for (unsigned r = 0; r < stages; ++r) {
-        std::uint32_t head = visitHead_[r];
-        std::uint32_t tail = visitHead_[r + 1];
-        NodeId *vn = visitNode_.data() + std::size_t(r) * nslots_;
-        for (std::uint32_t i = head; i < tail; ++i)
-            vn[visits_[i].slot] = visits_[i].node;
-        if (head == tail)
-            continue;
-        std::uint32_t split = head + 1;
-        while (split < tail &&
-               visits_[split].slot > visits_[split - 1].slot)
-            ++split;
-        bool ok = true;
-        for (std::uint32_t j = split; j < tail && ok; ++j) {
-            if (j > split && visits_[j].slot <= visits_[j - 1].slot)
-                ok = false;
-            if (visits_[j].slot >= visits_[head].slot)
-                ok = false;
-        }
-        if (!ok) {
-            masksValid_ = false;
-            continue;
-        }
-        std::uint64_t *hi = rotMaskHi_.data() + std::size_t(r) * words_;
-        std::uint64_t *lo = rotMaskLo_.data() + std::size_t(r) * words_;
-        for (std::uint32_t i = head; i < split; ++i)
-            hi[visits_[i].slot >> 6] |=
-                std::uint64_t(1) << (visits_[i].slot & 63);
-        for (std::uint32_t i = split; i < tail; ++i)
-            lo[visits_[i].slot >> 6] |=
-                std::uint64_t(1) << (visits_[i].slot & 63);
-    }
-
     // Scratch for one rotation's gathered visits. Sized once — a
     // rotation visits at most one slot per node — and filled through
     // raw pointers, so the gather loop carries no size/capacity
     // bookkeeping.
     batch_.assign(config_.nodes, SlotVisit{});
-    batchCache_.assign(std::size_t(stages) * config_.nodes,
-                       SlotVisit{});
-    batchLen_.assign(stages, 0);
-    batchEpoch_.assign(stages, 0);
 
     tracked_.assign(config_.nodes, 0);
     pending_.assign(config_.nodes, 0);
-
-    // One kernel dispatch can carry many back-to-back ring cycles; the
-    // event stream is unchanged (see Ticker::enableBatching).
-    ticker_.enableBatching();
 }
 
 void
@@ -247,7 +168,6 @@ SlotRing::setClient(NodeId n, RingClient &client)
         --pendingCount_;
     }
     refreshUniformClient();
-    updateFastDispatch();
 }
 
 void
@@ -264,15 +184,6 @@ SlotRing::refreshUniformClient()
 }
 
 void
-SlotRing::updateFastDispatch()
-{
-    fastDispatch_ = masksValid_ && uniformClient_ != nullptr &&
-                    pendingCount_ == 0 &&
-                    trackedCount_ == config_.nodes &&
-                    injector_ == nullptr && !config_.referenceTickPath;
-}
-
-void
 SlotRing::enableIdleSkip(NodeId n)
 {
     if (n >= tracked_.size())
@@ -280,7 +191,6 @@ SlotRing::enableIdleSkip(NodeId n)
     if (!tracked_[n]) {
         tracked_[n] = 1;
         ++trackedCount_;
-        updateFastDispatch();
     }
 }
 
@@ -292,7 +202,6 @@ SlotRing::notifyPending(NodeId n)
     if (!pending_[n]) {
         pending_[n] = 1;
         ++pendingCount_;
-        fastDispatch_ = false;
     }
 }
 
@@ -304,8 +213,6 @@ SlotRing::clearPending(NodeId n)
     if (pending_[n]) {
         pending_[n] = 0;
         --pendingCount_;
-        if (pendingCount_ == 0)
-            updateFastDispatch();
     }
 }
 
@@ -347,7 +254,6 @@ SlotRing::injectFaults(Count cycle)
                 accrueOccupancy();
                 --occCnt_[t];
                 --occTotal_;
-                ++occEpoch_;
             } else if (!bitTest(corrupt_, s) &&
                        injector_->corruptAt(cycle, s)) {
                 bitSet(corrupt_, s);
@@ -356,7 +262,7 @@ SlotRing::injectFaults(Count cycle)
     }
 }
 
-inline void
+void
 SlotRing::tick(Count cycle)
 {
     // Slot occupancy accrues into the utilization integral lazily —
@@ -364,49 +270,6 @@ SlotRing::tick(Count cycle)
     // so advancing time is all this cycle pays. Time passes during a
     // stall, so the integral accrues there too.
     ++cycles_;
-
-    if (fastDispatch_) {
-        // The bitmap dispatch cycle, inline in tick() so it fuses
-        // with the batched process() loop: one uniform client,
-        // verified masks, every node tracked, nothing pending, no
-        // injector, scheduled path (see updateFastDispatch) — the
-        // cycle's work reduces to the incrementally maintained
-        // occupancy counters plus one batched dispatch.
-        unsigned occ = occTotal_;
-        if (occ == 0) {
-            // Quiescent (nothing pending or injected is implied by
-            // the flag).
-            if (++rot_ == stages_)
-                rot_ = 0;
-            ++rotations_;
-            maybeFastForward();
-            return;
-        }
-        unsigned r = rot_;
-        const SlotVisit *begin;
-        const SlotVisit *end;
-        // Saturated shortcut: a completely full ring (the common
-        // saturated regime) means the precomputed span already is the
-        // batch, without touching a mask word.
-        if (occ == nslots_) {
-            begin = visits_.data() + visitHead_[r];
-            end = visits_.data() + visitHead_[r + 1];
-        } else {
-            const SlotVisit *row =
-                batchCache_.data() + std::size_t(r) * config_.nodes;
-            std::uint32_t len = batchLen_[r];
-            if (batchEpoch_[r] != occEpoch_)
-                len = rebuildBatchRow(r);
-            begin = row;
-            end = row + len;
-        }
-        if (begin != end)
-            uniformClient_->onVisits(*this, begin, end);
-        if (++rot_ == stages_)
-            rot_ = 0;
-        ++rotations_;
-        return;
-    }
 
     if (injector_) {
         if (stallRemaining_ == 0)
@@ -449,55 +312,10 @@ SlotRing::referenceTick()
     ++rotations_;
 }
 
-std::uint32_t
-SlotRing::rebuildBatchRow(unsigned r)
-{
-    // Word-granular gather: occupancy bits ascending within hi then
-    // lo reproduce ascending node order (the shape the constructor
-    // verified). The row is config_.nodes wide — the most one
-    // rotation can visit — so plain stores suffice; the result is
-    // cached until the next occupancy change.
-    SlotVisit *row = batchCache_.data() + std::size_t(r) * config_.nodes;
-    const std::uint64_t *hi = rotMaskHi_.data() + std::size_t(r) * words_;
-    const std::uint64_t *lo = rotMaskLo_.data() + std::size_t(r) * words_;
-    const NodeId *vn = visitNode_.data() + std::size_t(r) * nslots_;
-    SlotVisit *out = row;
-    for (unsigned w = 0; w < words_; ++w) {
-        std::uint64_t m = occAny_[w] & hi[w];
-        while (m) {
-            unsigned s =
-                w * 64 + static_cast<unsigned>(std::countr_zero(m));
-            m &= m - 1;
-            *out++ = SlotVisit{vn[s], s};
-        }
-    }
-    for (unsigned w = 0; w < words_; ++w) {
-        std::uint64_t m = occAny_[w] & lo[w];
-        while (m) {
-            unsigned s =
-                w * 64 + static_cast<unsigned>(std::countr_zero(m));
-            m &= m - 1;
-            *out++ = SlotVisit{vn[s], s};
-        }
-    }
-    std::uint32_t len = static_cast<std::uint32_t>(out - row);
-    batchLen_[r] = len;
-    batchEpoch_[r] = occEpoch_;
-    return len;
-}
-
 void
 SlotRing::scheduledTick()
 {
-    bool empty_ring = true;
-    for (unsigned w = 0; w < words_; ++w) {
-        if (occAny_[w]) {
-            empty_ring = false;
-            break;
-        }
-    }
-
-    if (empty_ring && pendingCount_ == 0 &&
+    if (occTotal_ == 0 && pendingCount_ == 0 &&
         trackedCount_ == config_.nodes) {
         // Fully quiescent: no message on the ring and every node both
         // opted into idle skipping and reports nothing to insert. No
@@ -543,12 +361,6 @@ SlotRing::batchedTick(unsigned r)
     // the lazy walk because a handler may only mutate the visited
     // slot and the visited node's own pending flags (the onVisits
     // contract), and no slot or node appears twice in one rotation.
-    //
-    // This is the uniform-client path *outside* fastDispatch_ — some
-    // node must be visited even on an empty slot (untracked or
-    // pending), or the mask shape failed verification — so it gathers
-    // with the same per-visit predicate the lazy walk uses; the
-    // word-granular bitmap gather lives in fastTick().
     SlotVisit *out = batch_.data();
     const SlotVisit *v = visits_.data() + visitHead_[r];
     const SlotVisit *vend = visits_.data() + visitHead_[r + 1];

@@ -21,16 +21,15 @@
  * form: per-type occupancy and corruption bitmaps plus a dense message
  * array on the hot side, traversal-audit fields on a cold side touched
  * only by insert/remove/monitor paths. A visitation table precomputed
- * per rotation offset replaces the per-node modulo scan; on a
- * saturated ring the occupancy bitmap is ANDed with per-rotation slot
- * masks so only live visits are even enumerated, and the whole
- * rotation is handed to the (single, devirtualized) client in one
- * RingClient::onVisits call. Nodes that opted in via enableIdleSkip()
- * are only visited when the arriving slot is occupied or the node
- * flagged pending work via notifyPending(), and a fully quiescent ring
- * fast-forwards across idle cycles in O(1). The original scan loop is
- * retained behind RingConfig::referenceTickPath and the two are held
- * byte-identical by tests/ring/golden_equivalence_test.cpp.
+ * per rotation offset replaces the per-node modulo scan, and when one
+ * client serves every node the rotation's live visits are handed to it
+ * in one RingClient::onVisits call. Nodes that opted in via
+ * enableIdleSkip() are only visited when the arriving slot is occupied
+ * or the node flagged pending work via notifyPending(), and a fully
+ * quiescent ring fast-forwards across idle cycles in O(1). The
+ * original scan loop is retained behind RingConfig::referenceTickPath
+ * and the two are held byte-identical by
+ * tests/ring/golden_equivalence_test.cpp.
  */
 
 #ifndef RINGSIM_RING_NETWORK_HPP
@@ -211,7 +210,6 @@ class SlotRing
      */
     void setFaultInjector(fault::FaultInjector *injector) {
         injector_ = injector;
-        updateFastDispatch();
     }
 
     /**
@@ -286,18 +284,9 @@ class SlotRing
   private:
     friend class SlotHandle;
 
-    /**
-     * One ring cycle. Forced inline: its only caller is the batched
-     * TickEvent::process loop in the same translation unit, and the
-     * steady (fastDispatch_) body must fuse into that loop — left to
-     * the inliner's budget it stays an out-of-line call per cycle.
-     */
-    [[gnu::always_inline]] void tick(Count cycle);
+    /** One ring cycle: the ticker's handler. */
+    void tick(Count cycle);
     void referenceTick();
-    /** Regather rotation @p r's batch into its cache row (stamping
-     *  it with the current epoch) and return the row length. Off the
-     *  steady path: runs once per occupancy change per rotation. */
-    std::uint32_t rebuildBatchRow(unsigned r);
     /** General (guarded) schedule-driven cycle. */
     void scheduledTick();
     /** Gather one rotation's live visits and batch-dispatch them. */
@@ -320,8 +309,8 @@ class SlotRing
     // --- Hot slot state: structure-of-arrays bitmaps -----------------
     //
     // occ_[t*words_ + w] is the occupancy bitmap of type-t slots;
-    // occAny_[w] is the union across types (the word the gather loop
-    // ANDs with the rotation masks). corrupt_ ⊆ occAny_ marks payload
+    // occAny_[w] is the union across types (the bit the visit
+    // predicate tests). corrupt_ ⊆ occAny_ marks payload
     // corruption. Slot types are fixed at construction (types_), so
     // per-type counts are popcounts of the per-type words.
 
@@ -366,45 +355,14 @@ class SlotRing
     /** Recompute uniformClient_ after a setClient(). */
     void refreshUniformClient();
 
-    /**
-     * Recompute fastDispatch_: true when the per-cycle guards of the
-     * bitmap dispatch all hold — one uniform client, verified
-     * rotation masks, every node tracked, nothing pending. Folding
-     * them into one flag (maintained at the rare transitions) keeps
-     * the tick preamble to a single predictable branch.
-     */
-    void updateFastDispatch();
-
-    /**
-     * The ring's clock, with the per-cycle handler devirtualized:
-     * process() repeats sim::Ticker's schedule/consume protocol but
-     * calls SlotRing::tick directly, so the batched cycle loop and
-     * the fast-dispatch tick body inline into one frame instead of
-     * paying a std::function dispatch per ring cycle.
-     */
-    class TickEvent final : public sim::Ticker
-    {
-      public:
-        TickEvent(SlotRing &ring, sim::Kernel &kernel, Tick period)
-            : sim::Ticker(kernel, period), ring_(ring)
-        {
-        }
-        void process() override;
-
-      private:
-        SlotRing &ring_;
-    };
-
     sim::Kernel &kernel_;
     RingConfig config_;
-    TickEvent ticker_;
+    sim::Ticker ticker_;
 
     /** Pipeline stages (== config_.totalStages(), cached: the ctor
      *  call chain behind it — two divisions — is off the tick path). */
     unsigned stages_ = 0;
-    /** Slots on the ring (== config_.totalSlots()). */
-    unsigned nslots_ = 0;
-    /** Bitmap words per mask (ceil(nslots_ / 64)). */
+    /** Bitmap words per mask (ceil(config_.totalSlots() / 64)). */
     unsigned words_ = 0;
 
     /** Per-slot type, fixed at construction. */
@@ -447,48 +405,10 @@ class SlotRing
     std::vector<SlotVisit> visits_;
     std::vector<std::uint32_t> visitHead_;
 
-    /**
-     * Per-rotation slot masks for the word-granular gather. At
-     * rotation r the schedule's ascending-node order visits two
-     * ascending-slot-index segments: first the nodes whose stage
-     * position is below r (their headers wrapped — high slot indices),
-     * then the rest (low indices), every high index above every low
-     * one. rotMaskHi_/rotMaskLo_ hold those two segments' slot bits
-     * (words_ words per rotation), so iterating set bits of
-     * (occAny & hi) ascending then (occAny & lo) ascending reproduces
-     * node order exactly. masksValid_ is set only after the
-     * constructor has verified that two-segment shape for every
-     * rotation; otherwise the gather falls back to the schedule walk.
-     */
-    std::vector<std::uint64_t> rotMaskHi_;
-    std::vector<std::uint64_t> rotMaskLo_;
-    /** visitNode_[r * nslots_ + slot] = node visited, per rotation. */
-    std::vector<NodeId> visitNode_;
-    bool masksValid_ = false;
-    /** See updateFastDispatch(). */
-    bool fastDispatch_ = false;
-
     /** Scratch for one rotation's gathered visits; permanently sized
      *  to one entry per node (a rotation's maximum) so the gather
-     *  loops write through raw pointers with no vector bookkeeping. */
+     *  loop writes through a raw pointer with no vector bookkeeping. */
     std::vector<SlotVisit> batch_;
-
-    /**
-     * Per-rotation gather cache. The gathered batch of rotation r is
-     * a pure function of (occupancy bitmap, r), and the bitmap only
-     * changes on insert/remove/drop — which bump occEpoch_. A
-     * rotation whose stamp matches the epoch replays its cached batch
-     * (one compare), so a ring whose population changes rarely — or,
-     * as in the saturated benchmarks, not at all — regathers each
-     * rotation once per change instead of once per lap.
-     * batchCache_ rows are config_.nodes wide, indexed by rotation.
-     */
-    std::vector<SlotVisit> batchCache_;
-    std::vector<std::uint32_t> batchLen_;
-    std::vector<std::uint64_t> batchEpoch_;
-    /** Bumped on every occupancy-bitmap mutation; starts at 1 so the
-     *  zero-initialized stamps are invalid. */
-    std::uint64_t occEpoch_ = 1;
 
     /** tracked_[n]: node n opted into idle skipping (enableIdleSkip). */
     std::vector<std::uint8_t> tracked_;

@@ -45,32 +45,26 @@ Kernel::~Kernel()
 }
 
 void
-Kernel::insertNear(Entry entry)
-{
-    std::uint64_t idx = bucketIndex(entry.when);
-    Bucket &bucket = wheel_[idx & kWheelMask];
-    // Appends arrive in (when, seq) order almost always (periodic
-    // reschedules with monotone seq), so the bucket usually stays
-    // sorted without ever calling sort.
-    if (bucket.entries.empty()) {
-        bucket.head = 0;
-        bucket.sorted = true;
-    } else if (bucket.sorted) {
-        const Entry &back = bucket.entries.back();
-        if (back > entry)
-            bucket.sorted = false;
-    }
-    bucket.entries.push_back(entry);
-    ++nearSize_;
-    if (idx < hintBucket_)
-        hintBucket_ = idx;
-}
-
-void
 Kernel::enqueue(Entry entry)
 {
-    if (bucketIndex(entry.when) < bucketIndex(now_) + kWheelBuckets) {
-        insertNear(entry);
+    std::uint64_t idx = bucketIndex(entry.when);
+    if (idx < bucketIndex(now_) + kWheelBuckets) {
+        Bucket &bucket = wheel_[idx & kWheelMask];
+        // Appends arrive in (when, seq) order almost always (periodic
+        // reschedules with monotone seq), so the bucket usually stays
+        // sorted without ever calling sort.
+        if (bucket.entries.empty()) {
+            bucket.head = 0;
+            bucket.sorted = true;
+        } else if (bucket.sorted) {
+            const Entry &back = bucket.entries.back();
+            if (back > entry)
+                bucket.sorted = false;
+        }
+        bucket.entries.push_back(entry);
+        ++nearSize_;
+        if (idx < hintBucket_)
+            hintBucket_ = idx;
         ++stats_.nearScheduled;
     } else {
         far_.push(entry);
@@ -78,46 +72,6 @@ Kernel::enqueue(Entry entry)
     }
     ++live_;
     stats_.maxPending = std::max(stats_.maxPending, live_);
-}
-
-void
-Kernel::materializePhantom()
-{
-    // live_ and the statistics already counted this entry at
-    // phantomSchedule time; only the physical insertion was deferred.
-    Event *e = phantom_;
-    phantom_ = nullptr;
-    insertNear(Entry{e->when_, phantomSeq_, e, e->generation_, nullptr});
-}
-
-void
-Kernel::phantomScheduleSlow(Event &event, Tick when)
-{
-    if (event.scheduled_)
-        panic("Event scheduled twice (when=%llu)",
-              static_cast<unsigned long long>(when));
-    if (when < now_)
-        panic("Event scheduled in the past (%llu < %llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(now_));
-    if (phantom_)
-        materializePhantom();
-    // Far horizon: the deferred-insert dance buys nothing there.
-    // (Near-horizon times only reach here via the materialize-first
-    // case above, after which the inline fast path preconditions
-    // hold again.)
-    if (bucketIndex(when) >= bucketIndex(now_) + kWheelBuckets) {
-        schedule(event, when);
-        return;
-    }
-    event.scheduled_ = true;
-    event.when_ = when;
-    ++event.generation_;
-    phantomSeq_ = nextSeq_++;
-    phantom_ = &event;
-    ++live_;
-    stats_.maxPending = std::max(stats_.maxPending, live_);
-    ++stats_.nearScheduled;
 }
 
 void
@@ -141,9 +95,6 @@ Kernel::deschedule(Event &event)
 {
     if (!event.scheduled_)
         panic("deschedule of an unscheduled event");
-    // A phantom has no queue entry to go stale; just forget it.
-    if (&event == phantom_)
-        phantom_ = nullptr;
     // Lazy removal: bump the generation so the stale queue entry is
     // skipped when reached.
     event.scheduled_ = false;
@@ -190,10 +141,6 @@ Kernel::releaseShot(OneShot &shot)
 Kernel::NextRef
 Kernel::peekNear()
 {
-    // Queue inspection: the phantom must be physically present before
-    // any comparison against wheel/heap entries.
-    if (phantom_)
-        materializePhantom();
     if (nearSize_ == 0)
         return {};
     // Scan forward from the lowest possibly-populated bucket. The loop
@@ -224,9 +171,9 @@ Kernel::peekNear()
                 bucket.sorted = true;
             }
             const Entry &e = bucket.entries[bucket.head];
-            // Purge stale entries regardless of lap: lazily consumed
-            // firings (consumeIfNext) can leave earlier-lap leftovers
-            // behind when now() swept past this bucket unscanned.
+            // Purge stale entries (descheduled, or superseded by a
+            // reschedule) regardless of lap: dropping one early is
+            // always safe.
             if (stale(e)) {
                 ++bucket.head;
                 --nearSize_;
@@ -269,8 +216,8 @@ Kernel::peekNext()
     return near;
 }
 
-Kernel::Entry
-Kernel::popEntry(const NextRef &next)
+void
+Kernel::fire(const NextRef &next)
 {
     Entry entry = *next.entry;
     if (next.bucket) {
@@ -288,13 +235,6 @@ Kernel::popEntry(const NextRef &next)
     now_ = entry.when;
     --live_;
     ++stats_.processed;
-    return entry;
-}
-
-void
-Kernel::fire(const NextRef &next)
-{
-    Entry entry = popEntry(next);
     if (entry.event) {
         entry.event->scheduled_ = false;
         entry.event->process();
@@ -302,73 +242,6 @@ Kernel::fire(const NextRef &next)
         ++stats_.oneShots;
         entry.shot->invoke(*entry.shot, *this);
     }
-}
-
-bool
-Kernel::consumeIfNextSlow(Event &event)
-{
-    if (!inRun_ || stopping_ || !event.scheduled_)
-        return false;
-    if (runUntil_ != kNoEvent && event.when_ > runUntil_)
-        return false;
-    if (phantom_ == &event) {
-        // live_ > 1 (the inline path handles live_ == 1): other work
-        // is pending, so a real comparison is needed.
-        materializePhantom();
-    }
-    if (live_ == 1) {
-        // The event's own firing is the only pending entry, so it is
-        // trivially the one the run loop would pick. In the periodic
-        // self-consume pattern the entry was pushed moments ago, so it
-        // sits at the back of its wheel bucket: pop it eagerly — O(1),
-        // no wheel scan, no heap pop, and crucially no stale residue
-        // (a lazy consume per tick would flood the wheel with entries
-        // nothing ever scans in steady state).
-        std::uint64_t idx = bucketIndex(event.when_);
-        if (idx < bucketIndex(now_) + kWheelBuckets) {
-            Bucket &bucket = wheel_[idx & kWheelMask];
-            if (bucket.head < bucket.entries.size()) {
-                const Entry &back = bucket.entries.back();
-                if (back.event == &event &&
-                    back.generation == event.generation_) {
-                    bucket.entries.pop_back();
-                    --nearSize_;
-                    if (bucket.head >= bucket.entries.size()) {
-                        bucket.entries.clear();
-                        bucket.head = 0;
-                        bucket.sorted = true;
-                    }
-                    event.scheduled_ = false;
-                    --live_;
-                    now_ = event.when_;
-                    ++stats_.processed;
-                    // Only stale residue (if any) can remain below the
-                    // hint; with a clean wheel, jump it to now so the
-                    // end-of-run scan starts where the next entry lands.
-                    if (nearSize_ == 0)
-                        hintBucket_ = bucketIndex(now_);
-                    return true;
-                }
-            }
-        }
-        // Entry not where expected (far heap, or something buried it):
-        // consume lazily, deschedule-style — the stale entry is purged
-        // whenever a scan next touches it.
-        event.scheduled_ = false;
-        ++event.generation_;
-        --live_;
-        now_ = event.when_;
-        ++stats_.processed;
-        return true;
-    }
-    NextRef next = peekNext();
-    // peekNext purged stale entries, so a hit on this event is its one
-    // live entry (generation necessarily matches).
-    if (!next.entry || next.entry->event != &event)
-        return false;
-    popEntry(next);
-    event.scheduled_ = false;
-    return true;
 }
 
 Tick
@@ -396,10 +269,7 @@ Kernel::run(Tick until)
     stopping_ = false;
     Count fired = 0;
     Tick saved_limit = runUntil_;
-    bool saved_in_run = inRun_;
     runUntil_ = until == ~Tick(0) ? kNoEvent : until;
-    inRun_ = true;
-    consumeOk_ = true;
     auto start = std::chrono::steady_clock::now();
     while (live_ > 0 && !stopping_) {
         NextRef next = peekNext();
@@ -409,8 +279,6 @@ Kernel::run(Tick until)
         ++fired;
     }
     runUntil_ = saved_limit;
-    inRun_ = saved_in_run;
-    consumeOk_ = inRun_ && !stopping_;
     stats_.runSeconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -433,13 +301,6 @@ Kernel::runOne()
 Ticker::Ticker(Kernel &kernel, Tick period,
                std::function<void(Count)> handler)
     : kernel_(kernel), period_(period), handler_(std::move(handler))
-{
-    if (period_ == 0)
-        panic("Ticker period must be nonzero");
-}
-
-Ticker::Ticker(Kernel &kernel, Tick period)
-    : kernel_(kernel), period_(period)
 {
     if (period_ == 0)
         panic("Ticker period must be nonzero");
@@ -476,30 +337,12 @@ Ticker::fastForward(Count skip)
 void
 Ticker::process()
 {
-    if (!batching_) {
-        Count this_cycle = cycle_++;
-        // Reschedule before the handler so the handler may stop() us.
-        kernel_.schedule(*this, kernel_.now() + period_);
-        handler_(this_cycle);
-        return;
-    }
-    for (;;) {
-        Count this_cycle = cycle_++;
-        // Reschedule before the handler so the handler may stop() us.
-        // The phantom variant defers the wheel insertion, which the
-        // self-consume below usually makes unnecessary altogether.
-        kernel_.phantomSchedule(*this, kernel_.now() + period_);
-        handler_(this_cycle);
-        // Batched self-consume: if the firing we just scheduled is the
-        // globally next one the run loop would pick anyway, take it
-        // here and loop, skipping a full dispatch round-trip. The
-        // handler may have stopped us (not scheduled), fast-forwarded
-        // us (consume then fires at the jumped tick), or scheduled
-        // other work due first (consume refuses; the run loop takes
-        // over) — in every case the event stream is unchanged.
-        if (!kernel_.consumeIfNext(*this))
-            return;
-    }
+    Count this_cycle = cycle_++;
+    // Reschedule before the handler so the handler may stop() us, and
+    // so the next firing's tie-break sequence number precedes anything
+    // the handler schedules for the same tick.
+    kernel_.schedule(*this, kernel_.now() + period_);
+    handler_(this_cycle);
 }
 
 } // namespace ringsim::sim

@@ -214,83 +214,8 @@ class Kernel
     /** Process exactly one event. @return false if the queue is empty. */
     bool runOne();
 
-    /**
-     * If @p event's pending firing is the globally next entry the run
-     * loop would fire — earliest (when, seq), within the current
-     * run() bound, with no stop() requested — consume it: remove it
-     * from the queue, advance now() to its tick, and count it as
-     * processed, WITHOUT invoking process(). Returns true on
-     * consumption; the caller (the event's own process(), typically a
-     * batched Ticker) then performs the firing's work itself.
-     *
-     * This is the saturated-path counterpart of Ticker::fastForward:
-     * a self-rescheduling component that just ran can keep running
-     * back-to-back firings in one kernel dispatch, with an event
-     * stream byte-identical to the one-dispatch-per-firing execution
-     * (the entry consumed is exactly the one the run loop's peek
-     * would have chosen; seq assignment is unchanged because the
-     * reschedule already happened). Only legal from within run().
-     */
-    bool consumeIfNext(Event &event) {
-        if (phantom_ == &event && live_ == 1 && consumeOk_ &&
-            event.when_ <= runUntil_) {
-            // The phantom is the only pending entry: trivially next,
-            // and it never touched the wheel — consume is a few
-            // writes. (scheduled_ holds by the phantom invariant.)
-            phantom_ = nullptr;
-            event.scheduled_ = false;
-            --live_;
-            now_ = event.when_;
-            ++stats_.processed;
-            return true;
-        }
-        return consumeIfNextSlow(event);
-    }
-
-    /**
-     * Schedule @p event exactly like schedule(), but — when the firing
-     * lands in the near wheel — keep it as a *phantom*: every
-     * observable effect (scheduled(), when(), pending(), sequence
-     * assignment, statistics) is as if the entry were enqueued, yet
-     * the wheel itself is untouched. The entry is materialized into
-     * the wheel on demand the moment anything inspects the queue, so
-     * no other kernel API can tell the difference. The payoff: a
-     * consumeIfNext() of the same event while it is still the only
-     * pending one collapses the schedule/consume round-trip to a few
-     * flag writes — the batched Ticker's per-cycle kernel cost.
-     * At most one phantom exists; scheduling a second materializes
-     * the first. Far-horizon times fall back to a plain schedule().
-     *
-     * Inline: together with the consumeIfNext() fast path this is the
-     * entire per-cycle kernel cost of a batched Ticker, so both
-     * common paths live in the header.
-     */
-    void phantomSchedule(Event &event, Tick when) {
-        if (event.scheduled_ || when < now_ || phantom_ ||
-            bucketIndex(when) >= bucketIndex(now_) + kWheelBuckets) {
-            phantomScheduleSlow(event, when);
-            return;
-        }
-        event.scheduled_ = true;
-        event.when_ = when;
-        ++event.generation_;
-        phantomSeq_ = nextSeq_++;
-        phantom_ = &event;
-        ++live_;
-        // Branch form: on the steady cycle loop live_ never exceeds
-        // the recorded peak, so this predicts untaken and skips the
-        // store a std::max would make unconditionally.
-        if (live_ > stats_.maxPending)
-            stats_.maxPending = live_;
-        ++stats_.nearScheduled;
-    }
-
     /** Ask run() to return after the current event completes. */
-    void stop()
-    {
-        stopping_ = true;
-        consumeOk_ = false;
-    }
+    void stop() { stopping_ = true; }
 
     /** True if no events are pending. */
     bool empty() const { return live_ == 0; }
@@ -366,15 +291,6 @@ class Kernel
     }
 
     void enqueue(Entry entry);
-    /** Wheel insertion alone (no live_/stats accounting). */
-    void insertNear(Entry entry);
-    /** Move the pending phantom (if any) into the wheel. */
-    void materializePhantom();
-    /** phantomSchedule() off the common path (panics, existing
-     *  phantom, far horizon). */
-    void phantomScheduleSlow(Event &event, Tick when);
-    /** consumeIfNext() off the common path (wheel entries present). */
-    bool consumeIfNextSlow(Event &event);
     void postShot(Tick when, OneShot &shot);
 
     /** Next live near-tier entry (purging stale ones), or null. */
@@ -383,10 +299,7 @@ class Kernel
     /** Next live entry across both tiers, or {null,null}. */
     NextRef peekNext();
 
-    /** Remove @p next from its tier, advance now(), count it. */
-    Entry popEntry(const NextRef &next);
-
-    /** Remove @p next from its tier and fire it. */
+    /** Remove @p next from its tier, advance now() and fire it. */
     void fire(const NextRef &next);
 
     OneShot &acquireShot();
@@ -397,21 +310,11 @@ class Kernel
     std::uint64_t hintBucket_ = 0;  // no wheel entry below this index
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> far_;
 
-    /** Self-scheduled event not yet inserted into the wheel (it is
-     *  counted in live_ and stats; phantomSeq_ holds its tie-break
-     *  sequence number for when it must be materialized). */
-    Event *phantom_ = nullptr;
-    std::uint64_t phantomSeq_ = 0;
-
     Tick now_ = 0;
     Tick runUntil_ = kNoEvent;
     std::uint64_t nextSeq_ = 0;
     Count live_ = 0;
     bool stopping_ = false;
-    bool inRun_ = false;   // consumeIfNext is only legal inside run()
-    /** == inRun_ && !stopping_, kept current where either changes:
-     *  one load on the per-cycle self-consume path. */
-    bool consumeOk_ = false;
     KernelStats stats_;
 
     OneShot *freeShots_ = nullptr;
@@ -433,15 +336,6 @@ class Ticker : public Event
      */
     Ticker(Kernel &kernel, Tick period,
            std::function<void(Count cycle)> handler);
-
-    /**
-     * For subclasses that override process() to call their target
-     * directly instead of through the std::function (one indirect
-     * call per cycle matters at ring rates). Such overrides must
-     * replicate the schedule/consume protocol of Ticker::process
-     * exactly; handler_ stays empty.
-     */
-    Ticker(Kernel &kernel, Tick period);
 
     /** Begin ticking; first firing at absolute time @p start. */
     void start(Tick start_at);
@@ -468,25 +362,12 @@ class Ticker : public Event
     /** Index of the next cycle to fire. */
     Count cycle() const { return cycle_; }
 
-    /**
-     * Let process() consume back-to-back firings in one kernel
-     * dispatch via Kernel::consumeIfNext. Opt-in because it holds one
-     * process() frame on the stack across the whole batch; the event
-     * stream (firing order, times, seq assignment, stats().processed)
-     * is identical either way.
-     */
-    void enableBatching() { batching_ = true; }
-
     void process() override;
 
-  protected:
-    // Protected, not private: devirtualizing subclasses (see the
-    // handler-less constructor) reimplement the process() loop and
-    // need the same state it uses.
+  private:
     Kernel &kernel_;
     Tick period_;
     Count cycle_ = 0;
-    bool batching_ = false;
     std::function<void(Count)> handler_;
 };
 

@@ -4,8 +4,8 @@
  * the detailed simulator within the paper's claimed tolerances —
  * "within 15% of the simulated values for latencies, and within 5%
  * for processor and network utilizations" (Section 4.0) — at the
- * calibration operating point. Near bus saturation the M/G/1 wait is
- * known to be optimistic, so the bus latency check uses the unloaded
+ * calibration operating point. Near bus saturation the bus model's MVA
+ * wait is known to be optimistic, so the bus latency check uses the unloaded
  * workloads.
  */
 
@@ -100,7 +100,7 @@ TEST_P(BusValidation, ModelTracksSimulation)
     in.system = cfg.common;
     model::ModelResult m = model::solveBus(in);
 
-    // Near saturation the open M/G/1 wait is optimistic (correlated
+    // Near saturation the MVA wait is optimistic (correlated
     // request/response arrivals); the tolerances widen there, as
     // documented in EXPERIMENTS.md.
     bool saturated = sim.networkUtilization >= 0.6;

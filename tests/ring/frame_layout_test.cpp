@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/ring/frame_layout.hpp"
 
 namespace ringsim::ring {
@@ -51,12 +53,18 @@ TEST(FrameLayout, WiderLinksShrinkFrames)
     EXPECT_EQ(f.frameStages(), 5u);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the case
+// must have no padding: uninitialised padding made the names vary from
+// build to build. A 64-bit linkBits keeps every byte defined.
 struct Table3Case
 {
-    unsigned linkBits;
+    std::uint64_t linkBits;
     size_t blockBytes;
     double paperNs;
 };
+
+static_assert(sizeof(Table3Case) == 24,
+              "Table3Case must have no padding bytes");
 
 class Table3 : public ::testing::TestWithParam<Table3Case>
 {
@@ -65,7 +73,8 @@ class Table3 : public ::testing::TestWithParam<Table3Case>
 TEST_P(Table3, SnoopInterArrivalMatchesPaper)
 {
     const Table3Case &c = GetParam();
-    Tick t = snoopInterArrival(c.linkBits, c.blockBytes, 2000);
+    Tick t = snoopInterArrival(static_cast<unsigned>(c.linkBits),
+                               c.blockBytes, 2000);
     EXPECT_DOUBLE_EQ(ticksToNs(t), c.paperNs);
 }
 

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -425,6 +426,42 @@ TEST(Ticker, FastForwardZeroIsANoop)
     k.run(30);
     t.stop();
     EXPECT_EQ(fires, 4u);
+}
+
+TEST(Ticker, NextFiringIsSequencedBeforeItsHandlerRuns)
+{
+    // The ticker reschedules itself before calling the handler, so its
+    // next firing takes its tie-break sequence number first: whatever
+    // the handler schedules for that tick fires after it, whatever was
+    // scheduled there earlier fires before it. The idle-ring
+    // fast-forward (DESIGN.md section 11.5) rests on this order.
+    Kernel k;
+    std::vector<std::pair<std::string, Tick>> log;
+    auto note = [&](std::string what) { log.emplace_back(what, k.now()); };
+    k.post(10, [&]() { note("early"); });
+    k.post(40, [&]() { note("early"); });
+    Ticker t(k, 10, [&](Count cycle) {
+        note("tick" + std::to_string(cycle));
+        if (cycle == 0)
+            k.post(k.now() + t.period(), [&]() { note("late"); });
+        if (cycle == 1)
+            t.fastForward(2); // next firing: cycle 4 at tick 40
+    });
+    t.start(0);
+    k.run(50);
+    t.stop();
+    using Fired = std::vector<std::pair<std::string, Tick>>;
+    EXPECT_EQ(log, (Fired{{"tick0", 0},
+                          {"early", 10},
+                          {"tick1", 10},
+                          {"late", 10},
+                          {"early", 40},
+                          {"tick4", 40},
+                          {"tick5", 50}}));
+    // Every firing counted exactly once: four ticker firings and three
+    // one-shots; the fast-forward's deschedule/reschedule counts none.
+    EXPECT_EQ(k.stats().processed, 7u);
+    EXPECT_EQ(k.stats().oneShots, 3u);
 }
 
 TEST(Kernel, NextEventTime)
