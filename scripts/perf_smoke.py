@@ -34,8 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_rates(text, label):
-    """name -> rate map from a BENCH_ring.json body; the nested
-    saturated_multiplier block is metadata, not a rate."""
+    """name -> rate map from a BENCH_ring.json body; any non-numeric
+    entry is metadata, not a rate."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

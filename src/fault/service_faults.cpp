@@ -32,8 +32,6 @@ serviceFaultKindName(ServiceFaultKind k)
         return "torn_write";
       case ServiceFaultKind::BitFlip:
         return "bit_flip";
-      case ServiceFaultKind::PeerDrop:
-        return "peer_drop";
     }
     return "?";
 }
@@ -51,7 +49,6 @@ ServiceFaultConfig::chaosPreset(std::uint64_t seed)
     cfg.garbleRate = 0.05;
     cfg.tornWriteRate = 0.15;
     cfg.bitFlipRate = 0.15;
-    cfg.peerDropRate = 0.20;
     return cfg;
 }
 
@@ -72,7 +69,6 @@ ServiceFaultConfig::check() const
     rate_ok(garbleRate, "garble");
     rate_ok(tornWriteRate, "tornWrite");
     rate_ok(bitFlipRate, "bitFlip");
-    rate_ok(peerDropRate, "peerDrop");
     if (slowWriteRate > 0.0 && slowChunkBytes == 0)
         errors.push_back(strprintf(
             "slowChunkBytes = 0: slow writes (slowWriteRate = %g) "
@@ -160,13 +156,6 @@ ServiceFaultInjector::bitFlip()
                 config_.bitFlipRate, flip_fired_);
 }
 
-bool
-ServiceFaultInjector::peerDrop()
-{
-    return fire(ServiceFaultKind::PeerDrop, peer_seq_,
-                config_.peerDropRate, peer_fired_);
-}
-
 ServiceFaultCounters
 ServiceFaultInjector::counters() const
 {
@@ -176,7 +165,6 @@ ServiceFaultInjector::counters() const
     c.garbles = garble_fired_.load(std::memory_order_relaxed);
     c.tornWrites = torn_fired_.load(std::memory_order_relaxed);
     c.bitFlips = flip_fired_.load(std::memory_order_relaxed);
-    c.peerDrops = peer_fired_.load(std::memory_order_relaxed);
     return c;
 }
 

@@ -48,7 +48,6 @@ enum class ServiceFaultKind : unsigned {
     Garble,     //!< one response byte flipped (unparsable NDJSON)
     TornWrite,  //!< disk-cache entry truncated after publish
     BitFlip,    //!< disk-cache entry byte flipped after publish
-    PeerDrop,   //!< fleet peer-cache probe treated as unreachable
 };
 
 /** Printable service-fault-kind name. */
@@ -75,14 +74,6 @@ struct ServiceFaultConfig
     /** Per disk-cache publish: probability one byte is flipped. */
     double bitFlipRate = 0.0;
 
-    /**
-     * Per peer-cache probe: probability the peer is treated as
-     * unreachable (the probe is skipped and counted). A dropped
-     * probe degrades the lookup to a plain miss — recompute — so
-     * like every other class it can never change delivered bytes.
-     */
-    double peerDropRate = 0.0;
-
     /** Chunk size of one slow write, in bytes. */
     unsigned slowChunkBytes = 7;
 
@@ -94,7 +85,7 @@ struct ServiceFaultConfig
     {
         return slowWriteRate > 0.0 || disconnectRate > 0.0 ||
                garbleRate > 0.0 || tornWriteRate > 0.0 ||
-               bitFlipRate > 0.0 || peerDropRate > 0.0;
+               bitFlipRate > 0.0;
     }
 
     /**
@@ -119,7 +110,6 @@ struct ServiceFaultCounters
     Count garbles = 0;
     Count tornWrites = 0;
     Count bitFlips = 0;
-    Count peerDrops = 0;
 };
 
 /**
@@ -163,9 +153,6 @@ class ServiceFaultInjector
     /** Next cache publish: flip a byte? Counts the fire. */
     bool bitFlip();
 
-    /** Next peer-cache probe: drop it? Counts the fire. */
-    bool peerDrop();
-
     /** Counter snapshot. */
     ServiceFaultCounters counters() const;
 
@@ -181,14 +168,12 @@ class ServiceFaultInjector
     std::atomic<std::uint64_t> garble_seq_{0};
     std::atomic<std::uint64_t> torn_seq_{0};
     std::atomic<std::uint64_t> flip_seq_{0};
-    std::atomic<std::uint64_t> peer_seq_{0};
 
     std::atomic<std::uint64_t> slow_fired_{0};
     std::atomic<std::uint64_t> disconnect_fired_{0};
     std::atomic<std::uint64_t> garble_fired_{0};
     std::atomic<std::uint64_t> torn_fired_{0};
     std::atomic<std::uint64_t> flip_fired_{0};
-    std::atomic<std::uint64_t> peer_fired_{0};
 };
 
 } // namespace ringsim::fault

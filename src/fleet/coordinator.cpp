@@ -204,59 +204,19 @@ FleetCore::handleSubmit(const std::string &client,
         ++submitted_;
     }
 
-    // Single-flight: only cacheable specs coalesce — two sleep jobs
-    // (test-only, side-effect-shaped) must both run.
-    bool coalescable = spec.cacheable();
-    if (coalescable) {
-        std::string leader_bytes;
-        if (flights_.join(identity, &leader_bytes) ==
-            SingleFlight::Role::Waiter) {
-            // Re-tag the leader's response with this submission's id.
-            // The result payload travels untouched; parse→dump of our
-            // own response is stable (dump∘parse∘dump = dump).
-            util::JsonValue o;
-            std::string retag_error;
-            if (!util::tryParseJson(leader_bytes, &o, &retag_error))
-                panic("fleet: unparsable published response: %s",
-                      retag_error.c_str());
-            o.set("id", util::JsonValue::integer(id));
-            o.set("coalesced", util::JsonValue::boolean(true));
-            std::string response = o.dump();
-            retain(id, response);
-            return response;
-        }
-    }
-
     std::string response;
-    try {
-        response = leadSubmit(*job, spec, identity, id);
-        if (coalescable)
-            flights_.publish(identity, response);
-    } catch (...) {
-        // leadSubmit reports failures as error responses; reaching
-        // here means a genuine leader death. Waiters re-elect.
-        if (coalescable)
-            flights_.abort(identity);
-        throw;
-    }
+    std::size_t blocks = 1;
+    if (spec.kind == service::JobKind::Sweep && spec.sweepPart < 0 &&
+        cfg_.splitSweeps)
+        blocks = figures::figureBlockCount(
+            spec.figure, figures::FigureOptions{}, spec.fig6Cholesky);
+    if (blocks > 1)
+        response = splitSweep(*job, spec, id);
+    else
+        response = forwardWhole(*job, spec, identity, id);
     retain(id, response);
     (void)client;
     return response;
-}
-
-std::string
-FleetCore::leadSubmit(const util::JsonValue &job,
-                      const service::JobSpec &spec,
-                      const std::string &identity, std::uint64_t id)
-{
-    if (spec.kind == service::JobKind::Sweep && spec.sweepPart < 0 &&
-        cfg_.splitSweeps) {
-        std::size_t blocks = figures::figureBlockCount(
-            spec.figure, figures::FigureOptions{}, spec.fig6Cholesky);
-        if (blocks > 1)
-            return splitSweep(job, spec, id);
-    }
-    return forwardWhole(job, spec, identity, id);
 }
 
 std::string
@@ -277,6 +237,7 @@ FleetCore::forwardWhole(const util::JsonValue &job,
     if (outcome != ForwardOutcome::Answered)
         return degradeOrFail(spec, id, error);
 
+    noteAnswered(reply);
     {
         core::MutexLock lock(mutex_);
         ++forwarded_;
@@ -330,6 +291,7 @@ FleetCore::splitSweep(const util::JsonValue &job,
             if (outcome != ForwardOutcome::Answered)
                 throw std::runtime_error(
                     "part " + std::to_string(part) + ": " + error);
+            noteAnswered(reply);
             std::vector<std::string> errors;
             if (!reply.getBool("ok", false, &errors))
                 throw std::runtime_error(
@@ -390,21 +352,11 @@ FleetCore::degradeOrFail(const service::JobSpec &spec,
     if (cfg_.degradeToModel && spec.allowDegraded &&
         spec.degradable()) {
         try {
-            util::JsonValue result =
-                service::executeDegraded(spec, cfg_.jobsPerSweep);
-            {
-                core::MutexLock lock(mutex_);
-                ++degraded_;
-            }
-            util::JsonValue o = util::JsonValue::object();
-            o.set("ok", util::JsonValue::boolean(true));
-            o.set("op", util::JsonValue::string("submit"));
-            o.set("id", util::JsonValue::integer(id));
-            o.set("state", util::JsonValue::string("done"));
-            o.set("cached", util::JsonValue::boolean(false));
-            o.set("degraded", util::JsonValue::boolean(true));
-            o.set("result", std::move(result));
-            return o.dump();
+            std::string answer =
+                service::degradedAnswer(spec, id, cfg_.jobsPerSweep);
+            core::MutexLock lock(mutex_);
+            ++degraded_;
+            return answer;
         } catch (const std::exception &e) {
             warn("fleet: degraded fallback failed: %s", e.what());
         }
@@ -419,6 +371,16 @@ FleetCore::degradeOrFail(const service::JobSpec &spec,
     o.set("retry_after_ms",
           util::JsonValue::integer(cfg_.retryAfterMs));
     return o.dump();
+}
+
+void
+FleetCore::noteAnswered(const util::JsonValue &reply)
+{
+    std::vector<std::string> ignored;
+    if (!reply.getBool("coalesced", false, &ignored))
+        return;
+    core::MutexLock lock(mutex_);
+    ++coalesced_;
 }
 
 std::string
@@ -464,12 +426,7 @@ FleetCore::handleStatsz()
         fleet.set("workers", util::JsonValue::integer(pool_.size()));
         fleet.set("submitted", util::JsonValue::integer(submitted_));
         fleet.set("forwarded", util::JsonValue::integer(forwarded_));
-        fleet.set("coalesced",
-                  util::JsonValue::integer(flights_.coalesced()));
-        fleet.set("promoted",
-                  util::JsonValue::integer(flights_.promoted()));
-        fleet.set("inflight",
-                  util::JsonValue::integer(flights_.inflight()));
+        fleet.set("coalesced", util::JsonValue::integer(coalesced_));
         fleet.set("requeues",
                   util::JsonValue::integer(pool_.requeues()));
         fleet.set("sweep_splits",

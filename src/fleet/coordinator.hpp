@@ -11,10 +11,10 @@
  *    canonical spec (the same identity workers memoize under), and
  *    that key picks the job's worker shard deterministically
  *    (fleet/shard) — equal specs land on the same warm cache.
- *  - Duplicate in-flight specs coalesce in a SingleFlight: one
- *    forward executes, the rest wait for its bytes. Combined with the
- *    workers' own coalescing, a duplicate executes at most once
- *    fleet-wide.
+ *  - Duplicate in-flight specs therefore meet on one worker, whose
+ *    own single-flight (ServiceCore) runs them once; the coordinator
+ *    keeps no flight table of its own and only counts the forwards a
+ *    worker answered as coalesced.
  *  - Sweep jobs split into per-block subjobs fanned out across the
  *    fleet through an ExperimentRunner pool and reassembled
  *    byte-identically to a direct renderFigure() run (the PR 1 output
@@ -44,7 +44,6 @@
 #include "core/thread_annotations.hpp"
 #include "fleet/fleet_config.hpp"
 #include "fleet/router.hpp"
-#include "fleet/single_flight.hpp"
 #include "service/job.hpp"
 #include "service/line_service.hpp"
 #include "util/json.hpp"
@@ -73,15 +72,6 @@ class FleetCore : public service::LineService
         EXCLUDES(mutex_);
     std::string handleStatsz() EXCLUDES(mutex_);
 
-    /**
-     * Leader path: actually answer @p spec (forward, split or
-     * degrade). Returns a complete response line; never throws.
-     */
-    std::string leadSubmit(const util::JsonValue &job,
-                           const service::JobSpec &spec,
-                           const std::string &identity,
-                           std::uint64_t id) EXCLUDES(mutex_);
-
     /** Forward @p job whole to @p identity's shard (with failover). */
     std::string forwardWhole(const util::JsonValue &job,
                              const service::JobSpec &spec,
@@ -105,12 +95,18 @@ class FleetCore : public service::LineService
                               const std::string &why)
         EXCLUDES(mutex_);
 
+    /**
+     * Count @p reply (a worker's answer to one forward, whole or
+     * split part) as coalesced when the worker attached it to an
+     * identical job already in flight.
+     */
+    void noteAnswered(const util::JsonValue &reply) EXCLUDES(mutex_);
+
     void retain(std::uint64_t id, const std::string &response)
         EXCLUDES(mutex_);
 
     FleetConfig cfg_;
     WorkerPool pool_;
-    SingleFlight flights_;
 
     mutable core::Mutex mutex_;
     bool shutdown_ GUARDED_BY(mutex_) = false;
@@ -118,6 +114,7 @@ class FleetCore : public service::LineService
 
     std::uint64_t submitted_ GUARDED_BY(mutex_) = 0;
     std::uint64_t forwarded_ GUARDED_BY(mutex_) = 0;
+    std::uint64_t coalesced_ GUARDED_BY(mutex_) = 0;
     std::uint64_t sweep_splits_ GUARDED_BY(mutex_) = 0;
     std::uint64_t parts_forwarded_ GUARDED_BY(mutex_) = 0;
     std::uint64_t degraded_ GUARDED_BY(mutex_) = 0;

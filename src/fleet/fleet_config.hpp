@@ -76,9 +76,9 @@ struct FleetConfig
     bool enableTestJobs = false;
 
     /**
-     * Salt joined into the fleet-side identity key used for sharding
-     * and single-flight coalescing. Independent of worker cache
-     * salts — it routes, it does not address storage.
+     * Salt joined into the fleet-side identity key used for
+     * sharding. Independent of worker cache salts — it routes, it
+     * does not address storage.
      */
     std::string salt;
 

@@ -4,9 +4,9 @@
  *
  * Listens on the same NDJSON protocol as ringsim_serve and routes
  * every job to a fleet of worker daemons: sharded by canonical-spec
- * cache key, sweep jobs split across workers and reassembled
- * byte-identically, duplicate in-flight specs coalesced to one
- * execution, dead workers failed over deterministically. See
+ * cache key (so duplicate in-flight specs meet on one worker, which
+ * runs them once), sweep jobs split across workers and reassembled
+ * byte-identically, dead workers failed over deterministically. See
  * src/fleet/coordinator.hpp for the full contract.
  */
 
@@ -45,8 +45,7 @@ usage()
         "                      (default 250)\n"
         "  --retain N          finished records kept for polling "
         "(default 1024)\n"
-        "  --salt S            fleet identity salt (sharding + "
-        "coalescing)\n"
+        "  --salt S            fleet identity salt (sharding)\n"
         "  --no-split          forward sweeps whole instead of "
         "splitting\n"
         "                      them into per-block subjobs\n"

@@ -1,7 +1,6 @@
 #include "config.hpp"
 
 #include "runner/experiment_runner.hpp"
-#include "service/socket_server.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
 
@@ -42,13 +41,6 @@ ServiceConfig::check() const
             "retainDone = 0: async submissions could never be polled");
     for (std::string &e : chaos.check())
         errors.push_back("chaos: " + std::move(e));
-    for (const std::string &peer : peers) {
-        int tcp_port = -1;
-        std::string unix_path, peer_error;
-        if (!tryParseEndpoint(peer, &tcp_port, &unix_path,
-                              &peer_error))
-            errors.push_back("peers: " + peer_error);
-    }
     return errors;
 }
 

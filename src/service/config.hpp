@@ -97,16 +97,6 @@ struct ServiceConfig
      */
     fault::ServiceFaultConfig chaos;
 
-    /**
-     * Peer daemon endpoints of the fleet cache tier. On a local
-     * cache miss a cacheable submit asks each peer's cache
-     * ({"op":"cache_get"}) before simulating, so a warm answer
-     * anywhere serves the whole fleet. A cache_get never computes and
-     * never consults *its* peers — one hop, no recursion. A dead
-     * peer is a plain miss. Empty (the default) disables the tier.
-     */
-    std::vector<std::string> peers;
-
     /** A config with the environment defaults applied. */
     static ServiceConfig withEnvDefaults();
 

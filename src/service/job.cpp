@@ -644,4 +644,19 @@ executeDegraded(const JobSpec &spec, unsigned sweep_jobs)
     return o;
 }
 
+std::string
+degradedAnswer(const JobSpec &spec, std::uint64_t id,
+               unsigned sweep_jobs)
+{
+    util::JsonValue o = util::JsonValue::object();
+    o.set("ok", util::JsonValue::boolean(true));
+    o.set("op", util::JsonValue::string("submit"));
+    o.set("id", util::JsonValue::integer(id));
+    o.set("state", util::JsonValue::string("done"));
+    o.set("cached", util::JsonValue::boolean(false));
+    o.set("degraded", util::JsonValue::boolean(true));
+    o.set("result", executeDegraded(spec, sweep_jobs));
+    return o.dump();
+}
+
 } // namespace ringsim::service

@@ -161,6 +161,16 @@ util::JsonValue executeJob(const JobSpec &spec, unsigned sweep_jobs);
 util::JsonValue executeDegraded(const JobSpec &spec,
                                 unsigned sweep_jobs);
 
+/**
+ * The whole submit answer for job @p id from the model tier: the
+ * executeDegraded() result wrapped as a finished, uncached, degraded
+ * submit response, dumped. The worker's shed path and the fleet's
+ * last resort both answer through this; each keeps its own counter
+ * and its own fallback. Throws std::runtime_error on failure.
+ */
+std::string degradedAnswer(const JobSpec &spec, std::uint64_t id,
+                           unsigned sweep_jobs);
+
 } // namespace ringsim::service
 
 #endif // RINGSIM_SERVICE_JOB_HPP

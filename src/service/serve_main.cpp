@@ -33,7 +33,9 @@ usage()
         "  --queue-depth N    admitted-but-unfinished bound "
         "(default 64)\n"
         "  --mem-cache N      in-memory cache entries (default 128)\n"
-        "  --cache-dir PATH   on-disk cache directory (default off)\n"
+        "  --cache-dir PATH   on-disk cache directory (default off);\n"
+        "                     daemons given the same PATH share\n"
+        "                     every cached result\n"
         "  --salt S           extra cache salt (default "
         "$RINGSIM_CACHE_SALT)\n"
         "  --watchdog-ms N    per-job budget (default "
@@ -49,11 +51,7 @@ usage()
         "                     tagged degraded:true (default off)\n"
         "  --chaos SEED       deterministic fault injection: slow,\n"
         "                     garbled and dropped responses, torn and\n"
-        "                     bit-flipped disk-cache entries, dropped\n"
-        "                     peer-cache probes\n"
-        "  --peers E1,E2,...  peer daemon endpoints: on a local cache\n"
-        "                     miss, ask each peer's cache before\n"
-        "                     simulating (the fleet cache tier)\n";
+        "                     bit-flipped disk-cache entries\n";
 }
 
 } // namespace
@@ -112,10 +110,6 @@ main(int argc, char **argv)
             cfg.chaos = fault::ServiceFaultConfig::chaosPreset(
                 std::strtoull(need_value("--chaos").c_str(), nullptr,
                               10));
-        } else if (arg == "--peers") {
-            for (std::string &peer : service::splitEndpointList(
-                     need_value("--peers")))
-                cfg.peers.push_back(std::move(peer));
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;

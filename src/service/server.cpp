@@ -1,9 +1,9 @@
 #include "server.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "service/cache_key.hpp"
-#include "service/client.hpp"
 #include "util/logging.hpp"
 
 namespace ringsim::service {
@@ -118,8 +118,6 @@ ServiceCore::handleLine(const std::string &client,
         return handlePoll(req);
     if (op == "cancel")
         return handleCancel(req);
-    if (op == "cache_get")
-        return handleCacheGet(req);
     if (op == "statsz")
         return handleStatsz();
     if (op == "shutdown") {
@@ -138,7 +136,7 @@ ServiceCore::handleLine(const std::string &client,
     return errorResponse(nullptr,
                          "op = '" + op +
                              "': expected ping, submit, poll, "
-                             "cancel, cache_get, statsz or shutdown")
+                             "cancel, statsz or shutdown")
         .dump();
 }
 
@@ -173,22 +171,11 @@ ServiceCore::handleSubmit(const std::string &client,
     std::string key;
     if (spec.cacheable()) {
         key = cacheKey(spec.canonical().dump(), cfg_.salt);
-        std::optional<std::string> hit = cache_->get(key);
-        bool from_peer = false;
-        if (!hit && !cfg_.peers.empty()) {
-            // Fleet cache tier: a warm answer on any peer beats
-            // recomputing here. The raw bytes travel as an opaque
-            // string, so promotion preserves them exactly.
-            hit = peerLookup(key);
-            from_peer = hit.has_value();
-        }
-        if (hit) {
+        if (std::optional<std::string> hit = cache_->get(key)) {
             // A corrupt disk entry must recompute, not error out.
             util::JsonValue result;
             std::string cache_error;
             if (tryParseJson(*hit, &result, &cache_error)) {
-                if (from_peer)
-                    cache_->put(key, *hit);
                 std::uint64_t id;
                 {
                     core::MutexLock lock(mutex_);
@@ -202,8 +189,6 @@ ServiceCore::handleSubmit(const std::string &client,
                 o.set("id", util::JsonValue::integer(id));
                 o.set("state", util::JsonValue::string("done"));
                 o.set("cached", util::JsonValue::boolean(true));
-                if (from_peer)
-                    o.set("peer", util::JsonValue::boolean(true));
                 o.set("key", util::JsonValue::string(key));
                 o.set("result", std::move(result));
                 return o.dump();
@@ -302,21 +287,11 @@ ServiceCore::handleSubmit(const std::string &client,
             // is never cached — the exact answer should still be
             // computed (and memoized) on a calm retry.
             try {
-                util::JsonValue result =
-                    executeDegraded(spec, cfg_.jobsPerSweep);
-                {
-                    core::MutexLock lock(mutex_);
-                    degraded_.inc();
-                }
-                util::JsonValue o = util::JsonValue::object();
-                o.set("ok", util::JsonValue::boolean(true));
-                o.set("op", util::JsonValue::string("submit"));
-                o.set("id", util::JsonValue::integer(id));
-                o.set("state", util::JsonValue::string("done"));
-                o.set("cached", util::JsonValue::boolean(false));
-                o.set("degraded", util::JsonValue::boolean(true));
-                o.set("result", std::move(result));
-                return o.dump();
+                std::string answer =
+                    degradedAnswer(spec, id, cfg_.jobsPerSweep);
+                core::MutexLock lock(mutex_);
+                degraded_.inc();
+                return answer;
             } catch (const std::exception &e) {
                 warn("service: degraded fallback failed: %s",
                      e.what());
@@ -520,79 +495,6 @@ ServiceCore::clientGone(const std::string &client)
     done_cv_.notify_all();
 }
 
-std::string
-ServiceCore::handleCacheGet(const util::JsonValue &req)
-{
-    std::vector<std::string> errors;
-    std::string key = req.getString("key", "", &errors);
-    if (!errors.empty() || key.empty()) {
-        core::MutexLock lock(mutex_);
-        bad_requests_.inc();
-        return errorResponse("cache_get",
-                             errors.empty()
-                                 ? "key = '': a cache_get needs a "
-                                   "cache key"
-                                 : errors.front())
-            .dump();
-    }
-    {
-        core::MutexLock lock(mutex_);
-        peer_probes_.inc();
-    }
-    // Cache only, never compute, never consult *our* peers: the
-    // fleet lookup is one hop deep by construction, so a ring of
-    // peers cannot amplify one miss into a probe storm.
-    std::optional<std::string> hit = cache_->get(key);
-    util::JsonValue o = util::JsonValue::object();
-    o.set("ok", util::JsonValue::boolean(true));
-    o.set("op", util::JsonValue::string("cache_get"));
-    o.set("hit", util::JsonValue::boolean(hit.has_value()));
-    if (hit) {
-        // Raw bytes as an opaque JSON string: re-parsing the result
-        // into an object here could re-format numbers and break the
-        // byte-identity contract on promotion.
-        o.set("value", util::JsonValue::string(std::move(*hit)));
-    }
-    return o.dump();
-}
-
-std::optional<std::string>
-ServiceCore::peerLookup(const std::string &key)
-{
-    util::JsonValue req = util::JsonValue::object();
-    req.set("op", util::JsonValue::string("cache_get"));
-    req.set("key", util::JsonValue::string(key));
-    for (const std::string &endpoint : cfg_.peers) {
-        // Chaos: a dropped probe models an unreachable peer — the
-        // lookup degrades to a miss and the job recomputes locally,
-        // so delivered bytes never change.
-        if (chaos_ && chaos_->peerDrop())
-            continue;
-        ServiceClient peer;
-        std::string error;
-        // A dead or slow peer is a plain miss: one connect attempt,
-        // no resilient retries — recomputing locally is always
-        // cheaper than waiting out a peer's restart.
-        if (!peer.tryConnect(endpoint, &error))
-            continue;
-        util::JsonValue resp;
-        if (!peer.tryCall(req, &resp, &error))
-            continue;
-        std::vector<std::string> errors;
-        if (!resp.getBool("hit", false, &errors))
-            continue;
-        std::string value = resp.getString("value", "", &errors);
-        if (value.empty())
-            continue;
-        core::MutexLock lock(mutex_);
-        peer_hits_.inc();
-        return value;
-    }
-    core::MutexLock lock(mutex_);
-    peer_misses_.inc();
-    return std::nullopt;
-}
-
 std::uint64_t
 ServiceCore::retryJitter(const std::string &client) const
 {
@@ -638,14 +540,6 @@ ServiceCore::handleStatsz()
     o.set("degraded", util::JsonValue::integer(degraded_.value()));
     o.set("coalesced", util::JsonValue::integer(coalesced_.value()));
 
-    util::JsonValue peer = util::JsonValue::object();
-    peer.set("probes_served",
-             util::JsonValue::integer(peer_probes_.value()));
-    peer.set("hits", util::JsonValue::integer(peer_hits_.value()));
-    peer.set("misses", util::JsonValue::integer(peer_misses_.value()));
-    peer.set("peers", util::JsonValue::integer(cfg_.peers.size()));
-    o.set("peer", std::move(peer));
-
     util::JsonValue cache = util::JsonValue::object();
     cache.set("mem_hits", util::JsonValue::integer(cs.memHits));
     cache.set("disk_hits", util::JsonValue::integer(cs.diskHits));
@@ -671,8 +565,6 @@ ServiceCore::handleStatsz()
         chaos.set("torn_writes",
                   util::JsonValue::integer(fc.tornWrites));
         chaos.set("bit_flips", util::JsonValue::integer(fc.bitFlips));
-        chaos.set("peer_drops",
-                  util::JsonValue::integer(fc.peerDrops));
         o.set("chaos", std::move(chaos));
     }
 

@@ -66,7 +66,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -157,18 +156,7 @@ class ServiceCore : public LineService
         EXCLUDES(mutex_);
     std::string handleCancel(const util::JsonValue &req)
         EXCLUDES(mutex_);
-    std::string handleCacheGet(const util::JsonValue &req)
-        EXCLUDES(mutex_);
     std::string handleStatsz() EXCLUDES(mutex_);
-
-    /**
-     * Ask each configured peer's cache for @p key (one hop: the
-     * remote cache_get answers from its ResultCache only). Returns
-     * the raw cached result bytes on the first hit. Runs off-lock —
-     * a slow or dead peer must not serialize the service.
-     */
-    std::optional<std::string> peerLookup(const std::string &key)
-        EXCLUDES(mutex_);
 
     /** Deterministic per-client retry jitter in [0, retryAfterMs). */
     std::uint64_t retryJitter(const std::string &client) const;
@@ -261,12 +249,6 @@ class ServiceCore : public LineService
     stats::Counter degraded_ GUARDED_BY(mutex_);
     /** Submits attached to an identical in-flight job. */
     stats::Counter coalesced_ GUARDED_BY(mutex_);
-    /** Peer cache_get requests this daemon answered. */
-    stats::Counter peer_probes_ GUARDED_BY(mutex_);
-    /** Local misses answered from a peer's cache. */
-    stats::Counter peer_hits_ GUARDED_BY(mutex_);
-    /** Peer lookups that found nothing (recompute follows). */
-    stats::Counter peer_misses_ GUARDED_BY(mutex_);
 
     /** Job service latency (admission to completion), milliseconds. */
     stats::Sampler latency_ms_ GUARDED_BY(mutex_);

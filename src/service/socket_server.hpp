@@ -81,8 +81,7 @@ class SocketServer
 
 /**
  * Split a comma-separated endpoint list ("tcp:7001,tcp:7002,..."),
- * dropping empty segments. Shared by --peers, --workers endpoint
- * lists and the multi-endpoint ringsim_submit form.
+ * dropping empty segments (ringsim_fleetd --workers).
  */
 std::vector<std::string> splitEndpointList(const std::string &list);
 

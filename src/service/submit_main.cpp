@@ -13,14 +13,8 @@
  *   ringsim_submit --endpoint E statsz
  *   ringsim_submit --endpoint E shutdown
  *
- * --service E1,E2,... targets a fleet of daemons directly, with
- * deterministic routing: a submit connects to the shard its job's
- * canonical cache key owns (the same shard function ringsim_fleetd
- * uses, so the CLI and a coordinator agree on placement), and fails
- * over along the key's failover order when that daemon is down.
- * Other commands try the endpoints in listed order. Job ids are
- * per-daemon — poll/cancel/stream a multi-endpoint id on the daemon
- * that answered the submit (printed as "endpoint").
+ * E is one daemon: a ringsim_serve worker, or a ringsim_fleetd
+ * coordinator when jobs should be sharded across a fleet.
  *
  * Every command prints the server's response line; --text unwraps a
  * sweep result's rendered table instead, so a routed figure run can be
@@ -37,11 +31,7 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/shard.hpp"
-#include "service/cache_key.hpp"
 #include "service/client.hpp"
-#include "service/job.hpp"
-#include "service/socket_server.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 
@@ -53,8 +43,7 @@ void
 usage()
 {
     std::cout <<
-        "usage: ringsim_submit [--endpoint E | --service E1,E2,...] "
-        "COMMAND\n"
+        "usage: ringsim_submit [--endpoint E] COMMAND\n"
         "  ping\n"
         "  submit [--wait] [--text] [--client NAME]\n"
         "         [--deadline-ms N] [--no-degrade] '<job json>'\n"
@@ -65,47 +54,18 @@ usage()
         "  shutdown\n"
         "Job JSON of '-' is read from stdin. Default endpoint: "
         "ringsim.sock\n"
-        "--service routes a submit to its job's shard (failing over\n"
-        "deterministically) and other commands to the first "
-        "reachable\n"
-        "endpoint in listed order.\n";
+        "Point E at a ringsim_fleetd to shard jobs across a fleet.\n";
 }
 
-/**
- * Connect to the first reachable endpoint of @p order (indices into
- * @p endpoints); fatal() when none answers. Fills @p *chosen.
- */
+/** Connect to @p endpoint; fatal() when it does not answer. */
 service::ServiceClient
-connectOrDie(const std::vector<std::string> &endpoints,
-             const std::vector<std::size_t> &order,
-             std::string *chosen)
+connectOrDie(const std::string &endpoint)
 {
-    std::string first_error;
-    for (std::size_t index : order) {
-        service::ServiceClient client;
-        std::string error;
-        if (client.tryConnect(endpoints[index], &error)) {
-            *chosen = endpoints[index];
-            return client;
-        }
-        if (first_error.empty())
-            first_error = endpoints[index] + ": " + error;
-        if (endpoints.size() > 1)
-            warn("%s: %s (failing over)", endpoints[index].c_str(),
-                 error.c_str());
-    }
-    fatal("no endpoint reachable: %s", first_error.c_str());
-}
-
-/** The listed-order identity permutation 0..n-1. */
-std::vector<std::size_t>
-listedOrder(std::size_t n)
-{
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        order.push_back(i);
-    return order;
+    service::ServiceClient client;
+    std::string error;
+    if (!client.tryConnect(endpoint, &error))
+        fatal("%s: %s", endpoint.c_str(), error.c_str());
+    return client;
 }
 
 util::JsonValue
@@ -135,8 +95,7 @@ printResponse(const util::JsonValue &response, bool text)
 }
 
 int
-cmdSubmit(const std::vector<std::string> &endpoints, int argc,
-          char **argv, int i)
+cmdSubmit(const std::string &endpoint, int argc, char **argv, int i)
 {
     bool wait = false, text = false, no_degrade = false;
     std::uint64_t deadline_ms = 0;
@@ -180,25 +139,7 @@ cmdSubmit(const std::vector<std::string> &endpoints, int argc,
     if (no_degrade)
         job.set("degrade", util::JsonValue::boolean(false));
 
-    // Deterministic placement: route to the shard the job's
-    // canonical key owns, exactly as a fleet coordinator would, so a
-    // repeat submission from any client lands on the same daemon's
-    // warm cache. An unparsable spec falls back to listed order and
-    // lets the daemon produce the real diagnostic.
-    std::vector<std::size_t> order = listedOrder(endpoints.size());
-    if (endpoints.size() > 1) {
-        service::JobSpec spec;
-        std::string spec_error;
-        if (service::JobSpec::tryParse(job, true, &spec,
-                                       &spec_error)) {
-            std::string key =
-                service::cacheKey(spec.canonical().dump(), "");
-            order = fleet::failoverOrder(key, endpoints.size());
-        }
-    }
-    std::string chosen;
-    service::ServiceClient client =
-        connectOrDie(endpoints, order, &chosen);
+    service::ServiceClient client = connectOrDie(endpoint);
 
     util::JsonValue req = util::JsonValue::object();
     req.set("op", util::JsonValue::string("submit"));
@@ -206,10 +147,7 @@ cmdSubmit(const std::vector<std::string> &endpoints, int argc,
         req.set("client", util::JsonValue::string(who));
     req.set("wait", util::JsonValue::boolean(wait));
     req.set("job", std::move(job));
-    util::JsonValue response = callOrDie(client, req);
-    if (endpoints.size() > 1 && !text)
-        response.set("endpoint", util::JsonValue::string(chosen));
-    printResponse(response, text);
+    printResponse(callOrDie(client, req), text);
     return 0;
 }
 
@@ -244,28 +182,14 @@ cmdStream(service::ServiceClient &client, std::uint64_t id,
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> endpoints;
+    std::string endpoint = "ringsim.sock";
     int i = 1;
-    while (i < argc) {
-        std::string arg = argv[i];
-        if (arg == "--endpoint") {
-            if (i + 1 >= argc)
-                fatal("--endpoint needs a value");
-            endpoints.push_back(argv[i + 1]);
-            i += 2;
-        } else if (arg == "--service") {
-            if (i + 1 >= argc)
-                fatal("--service needs a value");
-            for (std::string &endpoint :
-                 service::splitEndpointList(argv[i + 1]))
-                endpoints.push_back(std::move(endpoint));
-            i += 2;
-        } else {
-            break;
-        }
+    while (i < argc && std::string(argv[i]) == "--endpoint") {
+        if (i + 1 >= argc)
+            fatal("--endpoint needs a value");
+        endpoint = argv[i + 1];
+        i += 2;
     }
-    if (endpoints.empty())
-        endpoints.push_back("ringsim.sock");
     if (i >= argc) {
         usage();
         return 2;
@@ -277,11 +201,9 @@ main(int argc, char **argv)
     }
 
     if (cmd == "submit")
-        return cmdSubmit(endpoints, argc, argv, i);
+        return cmdSubmit(endpoint, argc, argv, i);
 
-    std::string chosen;
-    service::ServiceClient client = connectOrDie(
-        endpoints, listedOrder(endpoints.size()), &chosen);
+    service::ServiceClient client = connectOrDie(endpoint);
     if (cmd == "ping" || cmd == "statsz" || cmd == "shutdown") {
         util::JsonValue req = util::JsonValue::object();
         req.set("op", util::JsonValue::string(cmd));

@@ -29,8 +29,8 @@
  *  - Cancellation-race safety: cancel-vs-complete, deadline-vs-
  *    dispatch and disconnect-vs-shed races all resolve to a single
  *    consistent terminal state.
- *  - Single-flight coalescing safety (the fleet layer's protocol,
- *    also run by each worker daemon): a duplicate submission of an
+ *  - Single-flight coalescing safety (ServiceCore::inflight_, the
+ *    serving stack's one single-flight): a duplicate submission of an
  *    in-flight spec attaches as a waiter to the leader job without
  *    consuming an admission slot; *every* leader terminal state —
  *    including leader death by cancel, deadline or watchdog — answers

@@ -340,7 +340,9 @@ TEST(FleetCore, CoalescesConcurrentDuplicateSubmits)
     const util::JsonValue *fstats = stats.find("fleet");
     ASSERT_NE(fstats, nullptr);
     EXPECT_EQ(fstats->getU64("coalesced", 0, &errors), 1u);
-    EXPECT_EQ(fstats->getU64("inflight", 1, &errors), 0u);
+    const util::JsonValue *totals = stats.find("totals");
+    ASSERT_NE(totals, nullptr);
+    EXPECT_EQ(totals->getU64("coalesced", 0, &errors), 1u);
 }
 
 TEST(FleetCore, PollReplaysTheRetainedAnswer)
