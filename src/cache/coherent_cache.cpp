@@ -1,5 +1,9 @@
 #include "coherent_cache.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "util/logging.hpp"
 
 namespace ringsim::cache {
@@ -22,54 +26,59 @@ CoherentCache::CoherentCache(const Geometry &geometry)
     : geom_(geometry)
 {
     geom_.validate();
+    // validate() makes the block and set counts powers of two, so the
+    // Geometry divisions reduce to shifts and a mask.
+    blockShift_ = static_cast<unsigned>(std::countr_zero(geom_.blockBytes));
+    tagShift_ = blockShift_ +
+                static_cast<unsigned>(std::countr_zero(geom_.sets()));
+    setMask_ = geom_.sets() - 1;
     lines_.resize(geom_.blocks());
+    if (geom_.assoc > 1)
+        lastUse_.resize(geom_.blocks());
 }
 
-int
-CoherentCache::findWay(Addr addr) const
+size_t
+CoherentCache::lookup(Addr addr) const
 {
-    size_t set = geom_.setIndex(addr);
-    Addr tag = geom_.tag(addr);
-    for (unsigned way = 0; way < geom_.assoc; ++way) {
-        const Line &l = line(set, way);
-        if (l.state != State::Invalid && l.tag == tag)
-            return static_cast<int>(way);
+    size_t base = setBase(addr);
+    Addr tag = tagOf(addr);
+    for (size_t i = base; i < base + geom_.assoc; ++i) {
+        if (lines_[i].state != State::Invalid && lines_[i].tag == tag)
+            return i;
     }
-    return -1;
+    return lines_.size();
 }
 
 AccessResult
 CoherentCache::classify(Addr addr, bool is_write) const
 {
-    int way = findWay(addr);
-    if (way < 0)
+    size_t i = lookup(addr);
+    if (i == lines_.size())
         return AccessResult::Miss;
-    const Line &l = line(geom_.setIndex(addr), static_cast<unsigned>(way));
-    if (!is_write)
+    if (!is_write || lines_[i].state == State::WriteExcl)
         return AccessResult::Hit;
-    return l.state == State::WriteExcl ? AccessResult::Hit
-                                       : AccessResult::UpgradeMiss;
+    return AccessResult::UpgradeMiss;
 }
 
 State
 CoherentCache::state(Addr addr) const
 {
-    int way = findWay(addr);
-    if (way < 0)
-        return State::Invalid;
-    return line(geom_.setIndex(addr), static_cast<unsigned>(way)).state;
+    size_t i = lookup(addr);
+    return i == lines_.size() ? State::Invalid : lines_[i].state;
 }
 
-void
-CoherentCache::touch(Addr addr)
+AccessResult
+CoherentCache::touchIfHit(Addr addr, bool is_write)
 {
-    int way = findWay(addr);
-    if (way < 0)
-        panic("touch of uncached address %llx",
-              static_cast<unsigned long long>(addr));
-    line(geom_.setIndex(addr), static_cast<unsigned>(way)).lastUse =
-        ++useClock_;
+    size_t i = lookup(addr);
+    if (i == lines_.size())
+        return AccessResult::Miss;
+    Line &l = lines_[i];
+    if (is_write && l.state != State::WriteExcl)
+        return AccessResult::UpgradeMiss;
+    stamp(i);
     hits_.inc();
+    return AccessResult::Hit;
 }
 
 Victim
@@ -77,51 +86,44 @@ CoherentCache::fill(Addr addr, State new_state)
 {
     if (new_state == State::Invalid)
         panic("fill with Invalid state");
-    size_t set = geom_.setIndex(addr);
-    Addr tag = geom_.tag(addr);
 
     // Re-filling a present block (e.g. upgrade implemented as a fill)
     // must not allocate a second way.
-    int present = findWay(addr);
-    if (present >= 0) {
-        Line &l = line(set, static_cast<unsigned>(present));
-        l.state = new_state;
-        l.lastUse = ++useClock_;
+    if (size_t i = lookup(addr); i != lines_.size()) {
+        lines_[i].state = new_state;
+        stamp(i);
         fills_.inc();
         return {};
     }
 
     // Choose an invalid way, else the LRU way.
-    unsigned victim_way = 0;
-    bool found_invalid = false;
-    std::uint64_t oldest = ~std::uint64_t(0);
-    for (unsigned way = 0; way < geom_.assoc; ++way) {
-        Line &l = line(set, way);
-        if (l.state == State::Invalid) {
-            victim_way = way;
-            found_invalid = true;
+    size_t base = setBase(addr);
+    size_t pick = base;
+    for (size_t i = base; i < base + geom_.assoc; ++i) {
+        if (lines_[i].state == State::Invalid) {
+            pick = i;
             break;
         }
-        if (l.lastUse < oldest) {
-            oldest = l.lastUse;
-            victim_way = way;
-        }
+        // lastUse_ exists only when assoc > 1, the only case where
+        // i > base happens.
+        if (i > base && lastUse_[i] < lastUse_[pick])
+            pick = i;
     }
 
     Victim victim;
-    Line &l = line(set, victim_way);
-    if (!found_invalid) {
+    Line &l = lines_[pick];
+    if (l.state != State::Invalid) {
         victim.valid = true;
-        victim.blockAddr = geom_.blockFromTag(l.tag, set);
+        victim.blockAddr = geom_.blockFromTag(l.tag, base / geom_.assoc);
         victim.state = l.state;
         evictions_.inc();
         if (l.state == State::WriteExcl)
             writebacks_.inc();
     }
 
-    l.tag = tag;
+    l.tag = tagOf(addr);
     l.state = new_state;
-    l.lastUse = ++useClock_;
+    stamp(pick);
     fills_.inc();
     return victim;
 }
@@ -129,35 +131,34 @@ CoherentCache::fill(Addr addr, State new_state)
 void
 CoherentCache::upgrade(Addr addr)
 {
-    int way = findWay(addr);
-    if (way < 0)
+    size_t i = lookup(addr);
+    if (i == lines_.size())
         panic("upgrade of uncached address %llx",
               static_cast<unsigned long long>(addr));
-    Line &l = line(geom_.setIndex(addr), static_cast<unsigned>(way));
+    Line &l = lines_[i];
     if (l.state != State::ReadShared)
         panic("upgrade of a block in state %s", stateName(l.state));
     l.state = State::WriteExcl;
-    l.lastUse = ++useClock_;
+    stamp(i);
 }
 
-void
+State
 CoherentCache::invalidate(Addr addr)
 {
-    int way = findWay(addr);
-    if (way < 0)
-        return;
-    line(geom_.setIndex(addr), static_cast<unsigned>(way)).state =
-        State::Invalid;
+    size_t i = lookup(addr);
+    if (i == lines_.size())
+        return State::Invalid;
+    return std::exchange(lines_[i].state, State::Invalid);
 }
 
 void
 CoherentCache::downgrade(Addr addr)
 {
-    int way = findWay(addr);
-    if (way < 0)
+    size_t i = lookup(addr);
+    if (i == lines_.size())
         panic("downgrade of uncached address %llx",
               static_cast<unsigned long long>(addr));
-    Line &l = line(geom_.setIndex(addr), static_cast<unsigned>(way));
+    Line &l = lines_[i];
     if (l.state != State::WriteExcl)
         panic("downgrade of a block in state %s", stateName(l.state));
     l.state = State::ReadShared;
@@ -178,6 +179,7 @@ CoherentCache::clear()
 {
     for (Line &l : lines_)
         l = Line{};
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
     useClock_ = 0;
 }
 

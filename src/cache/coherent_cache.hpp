@@ -71,9 +71,10 @@ class CoherentCache
     State state(Addr addr) const;
 
     /**
-     * Record a hit (refreshes LRU). classify() must have returned Hit.
+     * Classify an access and, when it hits, record the hit (refreshes
+     * LRU) — one tag lookup. Upgrade and plain misses change nothing.
      */
-    void touch(Addr addr);
+    AccessResult touchIfHit(Addr addr, bool is_write);
 
     /**
      * Install the block containing @p addr in @p new_state, evicting
@@ -86,8 +87,11 @@ class CoherentCache
     /** Upgrade an RS copy to WE (after invalidations complete). */
     void upgrade(Addr addr);
 
-    /** Invalidate the copy of @p addr if present. */
-    void invalidate(Addr addr);
+    /**
+     * Invalidate the copy of @p addr if present.
+     * @return the state it had (Invalid when absent).
+     */
+    State invalidate(Addr addr);
 
     /**
      * Downgrade a WE copy to RS (remote read observed). The block must
@@ -98,7 +102,7 @@ class CoherentCache
     /** Number of valid (non-Invalid) blocks currently cached. */
     size_t validBlocks() const;
 
-    /** Hits recorded via touch(). */
+    /** Hits recorded via touchIfHit(). */
     const stats::Counter &hits() const { return hits_; }
 
     /** Fills recorded via fill(). */
@@ -118,21 +122,34 @@ class CoherentCache
     {
         Addr tag = 0;
         State state = State::Invalid;
-        std::uint64_t lastUse = 0;
     };
 
-    /** Find the way holding @p addr, or -1. */
-    int findWay(Addr addr) const;
-
-    Line &line(size_t set, unsigned way) {
-        return lines_[set * geom_.assoc + way];
+    /** Index in lines_ of the first way of @p addr's set. */
+    size_t setBase(Addr addr) const {
+        return static_cast<size_t>((addr >> blockShift_) & setMask_) *
+               geom_.assoc;
     }
-    const Line &line(size_t set, unsigned way) const {
-        return lines_[set * geom_.assoc + way];
+
+    /** Tag of @p addr. */
+    Addr tagOf(Addr addr) const { return addr >> tagShift_; }
+
+    /** Index of the valid line holding @p addr, or lines_.size(). */
+    size_t lookup(Addr addr) const;
+
+    /** Mark line @p i most recently used (set-associative only). */
+    void stamp(size_t i) {
+        if (!lastUse_.empty())
+            lastUse_[i] = ++useClock_;
     }
 
     Geometry geom_;
+    unsigned blockShift_; //!< log2(blockBytes)
+    unsigned tagShift_;   //!< log2(blockBytes * sets)
+    Addr setMask_;        //!< sets - 1 (sets is a power of two)
     std::vector<Line> lines_;
+    /** LRU stamps parallel to lines_; empty when direct mapped, where
+     *  the one way of a set is always the victim. */
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
 
     stats::Counter hits_;

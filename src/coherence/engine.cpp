@@ -1,6 +1,7 @@
 #include "engine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "coherence/classify.hpp"
 #include "util/logging.hpp"
@@ -16,6 +17,13 @@ bucketOf(unsigned traversals)
     return std::min(traversals, maxTraversalBucket);
 }
 
+/** Presence-word bit of @p node. */
+std::uint64_t
+bitOf(NodeId node)
+{
+    return std::uint64_t(1) << node;
+}
+
 } // namespace
 
 FunctionalEngine::FunctionalEngine(const trace::AddressMap &map,
@@ -24,6 +32,8 @@ FunctionalEngine::FunctionalEngine(const trace::AddressMap &map,
       procs_(map.nodes())
 {
     geom_.validate();
+    if (procs_ > 64)
+        panic("engine: %u nodes exceed the 64-bit presence word", procs_);
     caches_.reserve(procs_);
     for (unsigned p = 0; p < procs_; ++p)
         caches_.emplace_back(geom_);
@@ -57,6 +67,24 @@ FunctionalEngine::resetCensus()
 }
 
 void
+FunctionalEngine::countRef(bool is_write, bool shared)
+{
+    if (shared) {
+        ++(is_write ? census_.sharedWrites : census_.sharedReads);
+    } else {
+        ++(is_write ? census_.privateWrites : census_.privateReads);
+    }
+}
+
+void
+FunctionalEngine::recordHit(NodeId p, Addr addr, bool is_write)
+{
+    ++census_.hits;
+    if (is_write && checker_)
+        checker_->writeHit(p, geom_.blockBase(addr));
+}
+
+void
 FunctionalEngine::access(NodeId p, const trace::TraceRecord &ref,
                          AccessOutcome *outcome)
 {
@@ -75,11 +103,7 @@ FunctionalEngine::access(NodeId p, const trace::TraceRecord &ref,
 
     bool is_write = ref.isWrite();
     bool shared = map_.isShared(ref.addr);
-    if (shared) {
-        ++(is_write ? census_.sharedWrites : census_.sharedReads);
-    } else {
-        ++(is_write ? census_.privateWrites : census_.privateReads);
-    }
+    countRef(is_write, shared);
 
     Addr block = geom_.blockBase(ref.addr);
     NodeId home = map_.home(ref.addr);
@@ -91,25 +115,16 @@ FunctionalEngine::access(NodeId p, const trace::TraceRecord &ref,
         outcome->home = home;
     }
 
-    cache::AccessResult res = caches_[p].classify(ref.addr, is_write);
+    cache::AccessResult res = caches_[p].touchIfHit(ref.addr, is_write);
     if (res == cache::AccessResult::Hit) {
-        caches_[p].touch(ref.addr);
-        ++census_.hits;
-        if (is_write && checker_)
-            checker_->writeHit(p, block);
+        recordHit(p, ref.addr, is_write);
         if (outcome)
             outcome->type = AccessOutcome::Type::Hit;
         return;
     }
 
     if (res == cache::AccessResult::UpgradeMiss) {
-        if (outcome) {
-            outcome->type = AccessOutcome::Type::Upgrade;
-            MemState &ms = mem_[block];
-            outcome->mapSharers = ms.presenceExcept(p) != 0;
-            outcome->anySharers = ms.listSizeExcept(p) != 0;
-        }
-        handleUpgrade(p, block, home);
+        handleUpgrade(p, block, home, outcome);
         return;
     }
 
@@ -117,48 +132,63 @@ FunctionalEngine::access(NodeId p, const trace::TraceRecord &ref,
     handleMiss(p, ref.addr, block, home, is_write, outcome);
 }
 
-unsigned
+bool
+FunctionalEngine::accessIfHit(NodeId p, const trace::TraceRecord &ref)
+{
+    if (p >= procs_)
+        panic("accessIfHit: proc %u out of range", p);
+    if (ref.op == trace::Op::Instr)
+        return false;
+    bool is_write = ref.isWrite();
+    if (caches_[p].touchIfHit(ref.addr, is_write) !=
+        cache::AccessResult::Hit)
+        return false;
+    countRef(is_write, map_.isShared(ref.addr));
+    recordHit(p, ref.addr, is_write);
+    return true;
+}
+
+void
 FunctionalEngine::invalidateOthers(NodeId p, Addr block, MemState &ms)
 {
+    std::uint64_t walk = ms.presenceExcept(p);
+
     // Test hook: drop the invalidation aimed at the highest-numbered
     // holder, so the copy (and its checker bookkeeping) survives.
-    NodeId spare = invalidNode;
     if (hooks_.dropOneInvalidation) {
-        for (NodeId q = procs_; q-- > 0;) {
-            if (q != p &&
-                caches_[q].state(block) != cache::State::Invalid) {
-                spare = q;
+        for (std::uint64_t left = walk; left != 0;) {
+            auto q = static_cast<NodeId>(63 - std::countl_zero(left));
+            left &= ~bitOf(q);
+            if (caches_[q].state(block) != cache::State::Invalid) {
+                walk &= ~bitOf(q);
                 break;
             }
         }
     }
 
-    unsigned holders = 0;
-    for (NodeId q = 0; q < procs_; ++q) {
-        if (q == p || q == spare)
-            continue;
-        cache::State st = caches_[q].state(block);
+    // Ascending node order, as the checker and the sharing list have
+    // always seen it. A set bit whose copy was silently replaced finds
+    // the cache Invalid and costs only the probe.
+    work_.invalidationProbes += static_cast<Count>(std::popcount(walk));
+    for (; walk != 0; walk &= walk - 1) {
+        auto q = static_cast<NodeId>(std::countr_zero(walk));
+        cache::State st = caches_[q].invalidate(block);
         if (st == cache::State::Invalid)
             continue;
-        ++holders;
-        if (st == cache::State::WriteExcl) {
-            // The owner's data reaches the requester; as far as the
+        if (checker_) {
+            // A WE owner's data reaches the requester; as far as the
             // version bookkeeping goes the owner flushes, then drops.
-            if (checker_) {
+            if (st == cache::State::WriteExcl)
                 checker_->downgrade(q, block);
-                checker_->drop(q, block);
-            }
-        } else if (checker_) {
             checker_->drop(q, block);
         }
-        caches_[q].invalidate(block);
         ms.detach(q);
     }
-    return holders;
 }
 
 void
-FunctionalEngine::handleUpgrade(NodeId p, Addr block, NodeId home)
+FunctionalEngine::handleUpgrade(NodeId p, Addr block, NodeId home,
+                                AccessOutcome *outcome)
 {
     MemState &ms = mem_[block];
     ++census_.upgrades;
@@ -169,6 +199,10 @@ FunctionalEngine::handleUpgrade(NodeId p, Addr block, NodeId home)
     // Protocol views of "are there other sharers?".
     bool map_sharers = ms.presenceExcept(p) != 0;
     unsigned list_sharers = ms.listSizeExcept(p);
+    if (outcome) {
+        outcome->type = AccessOutcome::Type::Upgrade;
+        outcome->mapSharers = map_sharers;
+    }
 
     // --- Snooping: every upgrade broadcasts one probe (the memory has
     // no sharer information), exactly one traversal.
@@ -244,19 +278,17 @@ FunctionalEngine::handleMiss(NodeId p, Addr addr, Addr block,
     MemState &ms = mem_[block];
     bool dirty = ms.dirty;
     NodeId owner = ms.owner;
+    bool map_sharers = ms.presenceExcept(p) != 0;
+    unsigned list_sharers = ms.listSizeExcept(p);
+    NodeId head = ms.head();
     if (outcome) {
         outcome->type = AccessOutcome::Type::Miss;
         outcome->wasDirty = dirty;
         outcome->owner = owner;
-        outcome->mapSharers = ms.presenceExcept(p) != 0;
-        outcome->anySharers = ms.listSizeExcept(p) != 0;
+        outcome->mapSharers = map_sharers;
     }
     if (dirty && owner == p)
         panic("miss on a block this processor owns dirty");
-
-    bool map_sharers = ms.presenceExcept(p) != 0;
-    unsigned list_sharers = ms.listSizeExcept(p);
-    NodeId head = ms.head();
 
     // ---------------- Snooping protocol scoring ----------------
     {
@@ -376,7 +408,7 @@ FunctionalEngine::handleMiss(NodeId p, Addr addr, Addr block,
             if (checker_)
                 checker_->downgrade(owner, block);
             ms.clearOwner();
-            ms.presence |= std::uint64_t(1) << owner;
+            ms.presence |= bitOf(owner);
             if (!ms.onList(owner))
                 ms.prepend(owner);
         }
@@ -384,7 +416,7 @@ FunctionalEngine::handleMiss(NodeId p, Addr addr, Addr block,
             caches_[p].fill(addr, cache::State::ReadShared);
         if (checker_)
             checker_->readFill(p, block, /*from_memory=*/true);
-        ms.presence |= std::uint64_t(1) << p;
+        ms.presence |= bitOf(p);
         ms.prepend(p);
         handleVictim(p, victim, outcome);
     }
@@ -411,7 +443,7 @@ FunctionalEngine::handleVictim(NodeId p, const cache::Victim &victim,
         if (checker_)
             checker_->writeback(p, vblock);
         vms.clearOwner();
-        vms.presence &= ~(std::uint64_t(1) << p);
+        vms.presence &= ~bitOf(p);
         vms.detach(p);
         if (vhome != p) {
             unsigned hops = hopDist(procs_, p, vhome);

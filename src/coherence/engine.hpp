@@ -23,7 +23,6 @@
 #define RINGSIM_COHERENCE_ENGINE_HPP
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/checker.hpp"
@@ -58,7 +57,6 @@ struct AccessOutcome
     NodeId owner = invalidNode;  //!< that owner
     bool mapSharers = false;     //!< full-map presence bits (other
                                  //!< than requester) were set
-    bool anySharers = false;     //!< other caches actually held copies
 
     /** Victim details (valid when type == Miss and a block was
      *  displaced). */
@@ -92,13 +90,24 @@ struct EngineOptions
     struct TestHooks
     {
         /**
-         * Every invalidation sweep skips its highest-numbered holder,
+         * Every invalidation walk skips its highest-numbered holder,
          * leaving a recognizably stale copy behind (the functional
          * twin of ptable::Mutation::DropInvalidation).
          */
         bool dropOneInvalidation = false;
     };
     TestHooks hooks;
+};
+
+/**
+ * Deterministic counts of the engine's own work. Kept out of Census
+ * (and so out of every RunResult and cache key): they describe how the
+ * simulator computed the answer, not the answer.
+ */
+struct EngineWork
+{
+    /** Caches probed by invalidation walks (one per presence bit). */
+    Count invalidationProbes = 0;
 };
 
 /** The engine proper. */
@@ -119,11 +128,22 @@ class FunctionalEngine
     void access(NodeId proc, const trace::TraceRecord &ref,
                 AccessOutcome *outcome = nullptr);
 
+    /**
+     * Apply data reference @p ref from @p proc only if it hits: the
+     * census is updated exactly as access() would, with one tag
+     * lookup. Returns false, changing nothing, for anything else
+     * (instruction fetches included).
+     */
+    bool accessIfHit(NodeId proc, const trace::TraceRecord &ref);
+
     /** Accumulated census. */
     const Census &census() const { return census_; }
 
     /** Zero the census (cache and directory state kept — warmup). */
     void resetCensus();
+
+    /** Work counters since construction (not reset with the census). */
+    const EngineWork &work() const { return work_; }
 
     /** Processor @p proc's cache (tests). */
     const cache::CoherentCache &cacheOf(NodeId proc) const;
@@ -137,14 +157,25 @@ class FunctionalEngine
     }
 
   private:
-    void handleUpgrade(NodeId p, Addr block, NodeId home);
+    /** Count a data reference in the census's reference mix. */
+    void countRef(bool is_write, bool shared);
+
+    /** Census and checker bookkeeping of a hit (already touched). */
+    void recordHit(NodeId p, Addr addr, bool is_write);
+
+    void handleUpgrade(NodeId p, Addr block, NodeId home,
+                       AccessOutcome *outcome);
     void handleMiss(NodeId p, Addr addr, Addr block, NodeId home,
                     bool is_write, AccessOutcome *outcome);
     void handleVictim(NodeId p, const cache::Victim &victim,
                       AccessOutcome *outcome);
 
-    /** Invalidate every other cached copy; returns how many existed. */
-    unsigned invalidateOthers(NodeId p, Addr block, MemState &ms);
+    /**
+     * Invalidate every other cached copy. Only nodes with a presence
+     * bit are probed: presence is a superset of the holders (see
+     * mem_state.hpp).
+     */
+    void invalidateOthers(NodeId p, Addr block, MemState &ms);
 
     /** Score a snooping-protocol data miss (probe + block reply). */
     void scoreSnoopMiss(NodeId p, NodeId home, NodeId supplier,
@@ -155,9 +186,10 @@ class FunctionalEngine
     EngineOptions::TestHooks hooks_;
     unsigned procs_;
     std::vector<cache::CoherentCache> caches_;
-    std::unordered_map<Addr, MemState> mem_;
+    MemTable mem_;
     std::unique_ptr<cache::CoherenceChecker> checker_;
     Census census_;
+    EngineWork work_;
 };
 
 } // namespace ringsim::coherence

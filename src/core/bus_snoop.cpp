@@ -23,12 +23,7 @@ BusSnoopProtocol::BusSnoopProtocol(sim::Kernel &kernel,
 bool
 BusSnoopProtocol::tryAccess(NodeId p, const trace::TraceRecord &ref)
 {
-    cache::AccessResult res =
-        engine_.cacheOf(p).classify(ref.addr, ref.isWrite());
-    if (res != cache::AccessResult::Hit)
-        return false;
-    engine_.access(p, ref);
-    return true;
+    return engine_.accessIfHit(p, ref);
 }
 
 Tick

@@ -61,12 +61,7 @@ RingProtocolBase::tryAccess(NodeId p, const trace::TraceRecord &ref)
     // Fast path: hits update state (touch + census) and cost nothing
     // beyond the processor cycle; anything else is left untouched for
     // startTransaction.
-    cache::AccessResult res =
-        engine_.cacheOf(p).classify(ref.addr, ref.isWrite());
-    if (res != cache::AccessResult::Hit)
-        return false;
-    engine_.access(p, ref);
-    return true;
+    return engine_.accessIfHit(p, ref);
 }
 
 void

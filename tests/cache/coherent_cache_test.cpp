@@ -52,10 +52,10 @@ TEST(CoherentCache, InvalidateRemoves)
 {
     CoherentCache c(smallGeometry());
     c.fill(0x100, State::ReadShared);
-    c.invalidate(0x100);
+    EXPECT_EQ(c.invalidate(0x100), State::ReadShared);
     EXPECT_EQ(c.state(0x100), State::Invalid);
     // Invalidating an absent block is a no-op.
-    c.invalidate(0x200);
+    EXPECT_EQ(c.invalidate(0x200), State::Invalid);
 }
 
 TEST(CoherentCache, DowngradeKeepsReadable)
@@ -117,7 +117,7 @@ TEST(CoherentCache, LruInSet)
     Addr d = a + 2 * stride;
     c.fill(a, State::ReadShared);
     c.fill(b, State::ReadShared);
-    c.touch(a); // make b the LRU way
+    EXPECT_EQ(c.touchIfHit(a, false), AccessResult::Hit); // b is LRU
     Victim v = c.fill(d, State::ReadShared);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.blockAddr, g.blockBase(b));
@@ -127,10 +127,12 @@ TEST(CoherentCache, LruInSet)
 TEST(CoherentCache, HitStats)
 {
     CoherentCache c(smallGeometry());
+    EXPECT_EQ(c.touchIfHit(0x100, false), AccessResult::Miss);
     c.fill(0x100, State::ReadShared);
-    c.touch(0x100);
-    c.touch(0x104);
-    EXPECT_EQ(c.hits().value(), 2u);
+    EXPECT_EQ(c.touchIfHit(0x100, false), AccessResult::Hit);
+    EXPECT_EQ(c.touchIfHit(0x104, false), AccessResult::Hit);
+    EXPECT_EQ(c.touchIfHit(0x100, true), AccessResult::UpgradeMiss);
+    EXPECT_EQ(c.hits().value(), 2u) << "only hits are recorded";
     EXPECT_EQ(c.fills().value(), 1u);
 }
 
@@ -146,7 +148,6 @@ TEST(CoherentCache, ClearDropsEverything)
 TEST(CoherentCacheDeathTest, MisusePanics)
 {
     CoherentCache c(smallGeometry());
-    EXPECT_DEATH(c.touch(0x100), "uncached");
     EXPECT_DEATH(c.upgrade(0x100), "uncached");
     EXPECT_DEATH(c.downgrade(0x100), "uncached");
     c.fill(0x100, State::WriteExcl);

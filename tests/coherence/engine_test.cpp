@@ -95,9 +95,9 @@ TEST_F(EngineTest, WriteAfterReadIsUpgrade)
 {
     Addr a = sharedAddrAvoiding({0});
     read(0, a);
+    EXPECT_EQ(engine_->memState(a).listSizeExcept(0), 0u);
     AccessOutcome o = write(0, a);
     EXPECT_EQ(o.type, AccessOutcome::Type::Upgrade);
-    EXPECT_FALSE(o.anySharers);
     EXPECT_EQ(engine_->cacheOf(0).state(a), cache::State::WriteExcl);
     EXPECT_EQ(engine_->census().upgrades, 1u);
 }
@@ -107,9 +107,9 @@ TEST_F(EngineTest, UpgradeWithSharersSeesThem)
     Addr a = sharedAddrAvoiding({0, 1});
     read(0, a);
     read(1, a);
+    EXPECT_EQ(engine_->memState(a).listSizeExcept(0), 1u);
     AccessOutcome o = write(0, a);
     EXPECT_EQ(o.type, AccessOutcome::Type::Upgrade);
-    EXPECT_TRUE(o.anySharers);
     EXPECT_TRUE(o.mapSharers);
     EXPECT_EQ(engine_->cacheOf(1).state(a), cache::State::Invalid);
 }
@@ -132,10 +132,10 @@ TEST_F(EngineTest, WriteMissInvalidatesEverybody)
     Addr a = sharedAddrAvoiding({0, 1, 2});
     read(0, a);
     read(1, a);
+    EXPECT_EQ(engine_->memState(a).listSizeExcept(2), 2u);
     AccessOutcome o = write(2, a);
     EXPECT_EQ(o.type, AccessOutcome::Type::Miss);
     EXPECT_TRUE(o.isWrite);
-    EXPECT_TRUE(o.anySharers);
     EXPECT_EQ(engine_->cacheOf(0).state(a), cache::State::Invalid);
     EXPECT_EQ(engine_->cacheOf(1).state(a), cache::State::Invalid);
     EXPECT_EQ(engine_->cacheOf(2).state(a), cache::State::WriteExcl);
@@ -268,6 +268,28 @@ TEST_F(EngineTest, WritebackRefillIsCleanMiss)
     AccessOutcome o = read(0, a);
     EXPECT_EQ(o.type, AccessOutcome::Type::Miss);
     EXPECT_FALSE(o.wasDirty) << "write-back cleared the dirty bit";
+}
+
+TEST(MemTable, GrowthKeepsKeysDistinctAndStatesInPlace)
+{
+    MemTable t;
+    MemState &zero = t[0];
+    zero.owner = 7;
+    // Dense blocks plus blocks 256 MB apart (the private-region
+    // stride), far past the initial capacity.
+    constexpr Addr n = 5000;
+    for (Addr i = 1; i < n; ++i) {
+        t[i * 16].owner = static_cast<NodeId>(i);
+        t[i << 28].presence = i;
+    }
+    EXPECT_EQ(&t[0], &zero) << "growth moved a MemState";
+    EXPECT_EQ(zero.owner, 7u);
+    Addr wrong = 0;
+    for (Addr i = 1; i < n; ++i) {
+        wrong += t[i * 16].owner != i;
+        wrong += t[i << 28].presence != i;
+    }
+    EXPECT_EQ(wrong, 0u);
 }
 
 } // namespace
