@@ -17,7 +17,10 @@
  *    pinned occupancy (the controlled experiment);
  *  - BM_ProtocolTick drives the real snoop engine closed-loop, so the
  *    tracked numbers also cover production controllers; its occupancy
- *    emerges from the offered load and is reported as a counter.
+ *    emerges from the offered load and is reported as a counter, next
+ *    to the visits the ring actually dispatched (SlotRing::work()).
+ *    Node-visits per second is the scan's unit of work; a protocol
+ *    tick costs what dispatched_visits says it dispatches.
  */
 
 #include <benchmark/benchmark.h>
@@ -40,6 +43,9 @@ namespace {
  * whole rotations through onVisits. Node 0 first fills the ring to
  * the requested occupancy with circulating messages (destination
  * nobody, never removed); every visit thereafter is a pure reaction.
+ * Those messages name no node, so once every node opts into idle
+ * skipping the schedule-driven path gathers each rotation and
+ * dispatches nothing: the ref:0 rows time the gather alone.
  */
 class UniformTickClient : public ring::RingClient
 {
@@ -225,17 +231,23 @@ BM_ProtocolTick(benchmark::State &state)
     ring_net.resetStats();
 
     constexpr Tick kCyclesPerIter = 512;
+    Count dispatched_before = ring_net.work().dispatchedVisits;
     Tick until = kernel.now();
     for (auto _ : state) {
         until += kCyclesPerIter * cfg.ring.clockPeriod;
         kernel.run(until);
     }
     double occupancy = ring_net.totalOccupancy();
+    Count dispatched = ring_net.work().dispatchedVisits - dispatched_before;
     ring_net.stop();
 
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             kCyclesPerIter * nodes);
     state.counters["ring_occupancy"] = occupancy;
+    // Visits handed to the protocol per timed iteration (kCyclesPerIter
+    // ring cycles): deterministic, so comparable across machines.
+    state.counters["dispatched_visits"] = benchmark::Counter(
+        static_cast<double>(dispatched), benchmark::Counter::kAvgIterations);
     state.counters["kernel_events"] =
         static_cast<double>(kernel.stats().processed);
 }

@@ -30,8 +30,9 @@ class RingDirectoryProtocol : public RingProtocolBase
     void launch(Txn &txn) override;
 
     /**
-     * Only reached for occupied slots (see RingProtocolBase: the ring
-     * skips empty-slot visits to nodes with nothing queued).
+     * Only reached for occupied slots at each message's remover (see
+     * RingProtocolBase: the ring skips empty-slot visits to nodes with
+     * nothing queued, and directory messages carry no tap).
      */
     void handleMessage(NodeId n, ring::SlotHandle &slot) override;
 

@@ -24,9 +24,12 @@ RingProtocolBase::RingProtocolBase(sim::Kernel &kernel,
         // registration and batch-dispatches whole rotations through
         // onVisits instead of one virtual call per visit.
         ring_.setClient(n, *this);
-        // A visit on an empty slot with empty queues does nothing, so
-        // the ring may skip those visits (and fast-forward when every
-        // node is idle).
+        // A visit on an empty slot with empty queues does nothing, and
+        // an occupied slot is acted on only at its message's remover
+        // (dst, or the returning src of a broadcast) or tap (a snoop
+        // probe's supplier) — every handleMessage branch returns early
+        // elsewhere. So the ring may skip all other visits (and
+        // fast-forward when every node is idle).
         ring_.enableIdleSkip(n);
     }
 }

@@ -49,9 +49,11 @@ enum RingMsgKind : std::uint32_t {
  * registered uniformly lets the ring hand it a whole rotation's live
  * visits in a single onVisits() call (no per-node trampoline, no
  * per-visit virtual hop). A visit on an empty slot with nothing queued
- * is a pure no-op (no state change, no statistics), so the constructor
- * opts every node into the ring's idle skipping; enqueue()/tryInsert()
- * keep the pending flags honest.
+ * is a pure no-op (no state change, no statistics), and so is a visit
+ * on an uncorrupted occupied slot at a node its message does not name
+ * (neither remover nor tap, see ring::RingMessage). The constructor
+ * therefore opts every node into the ring's idle skipping;
+ * enqueue()/tryInsert() keep the pending flags honest.
  */
 class RingProtocolBase : public Protocol, public ring::RingClient
 {
@@ -148,7 +150,11 @@ class RingProtocolBase : public Protocol, public ring::RingClient
      */
     virtual void launch(Txn &txn) = 0;
 
-    /** A slot carrying a message reached node @p n. */
+    /**
+     * A slot carrying a message reached node @p n. Must do nothing
+     * unless @p n is the message's remover or tap: the ring dispatches
+     * the slot to no other node (SlotRing::enableIdleSkip).
+     */
     virtual void handleMessage(NodeId n, ring::SlotHandle &slot) = 0;
 
     /** One leg of the transaction tagged @p tag finished; completes

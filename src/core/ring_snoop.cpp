@@ -41,11 +41,17 @@ RingSnoopProtocol::launch(Txn &txn)
 
     // Every transaction broadcasts a probe — misses and invalidations
     // alike; the dirty bit only decides who responds (Section 3.1).
+    // The probe is acted on at two nodes: the requester, which removes
+    // it, and — for a data probe — the planned supplier, its tap. The
+    // ring dispatches it nowhere else. A relaunch recomputes the same
+    // row, so every attempt carries the same tap.
     ring::RingMessage probe;
     probe.kind = MsgSnoopProbe;
     probe.src = txn.requester;
     probe.dst = ring::broadcastNode;
     probe.addr = txn.outcome.block;
+    if (plan.remoteData)
+        probe.tap = supplierOf(txn);
     probe.payload = tag;
     enqueue(txn.requester, probe, /*is_block=*/false);
 }
@@ -93,9 +99,11 @@ RingSnoopProtocol::handleMessage(NodeId n, ring::SlotHandle &slot)
                 legDone(probe.payload);
             return;
         }
-        // Snoop: the planned supplier answers a *data* probe as it
-        // passes (invalidation probes need no reply beyond their
-        // return).
+        // Snoop: the planned supplier — the probe's tap, the only
+        // other node the ring dispatches it to — answers a *data*
+        // probe as it passes (invalidation probes need no reply beyond
+        // their return). The activeTxn guard drops probes of a
+        // superseded attempt.
         Txn *txn = activeTxn(msg.payload);
         if (txn && planOf(*txn).remoteData && supplierOf(*txn) == n)
             supply(*txn, n);

@@ -29,10 +29,11 @@ class RingSnoopProtocol : public RingProtocolBase
     void launch(Txn &txn) override;
 
     /**
-     * Only reached for occupied slots: the base class opted every
-     * node into the ring's idle skipping, so empty slots are offered
-     * solely to nodes whose queues are non-empty (via tryInsert), and
-     * never get here.
+     * Only reached for occupied slots at the nodes a message names:
+     * the base class opted every node into the ring's idle skipping,
+     * so empty slots are offered solely to nodes whose queues are
+     * non-empty (via tryInsert), and a probe reaches only its
+     * requester and its tap (the planned supplier).
      */
     void handleMessage(NodeId n, ring::SlotHandle &slot) override;
 

@@ -78,6 +78,8 @@ SlotHandle::insert(const RingMessage &msg)
     ++ring_.occCnt_[t];
     ++ring_.occTotal_;
     ring_.msgs_[s] = msg;
+    ring_.names_[s] = SlotRing::SlotNames{
+        msg.dst == broadcastNode ? msg.src : msg.dst, msg.tap};
     ring_.insertedAtRot_[s] = ring_.rotations_;
     ring_.insertedBy_[s] = node_;
     ++ring_.inserted_[t];
@@ -111,6 +113,7 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     occAny_.assign(words_, 0);
     corrupt_.assign(words_, 0);
     msgs_.assign(nslots, RingMessage{});
+    names_.assign(nslots, SlotNames{invalidNode, invalidNode});
     insertedAtRot_.assign(nslots, 0);
     insertedBy_.assign(nslots, invalidNode);
     blockShift_ = frame.blockShift();
@@ -337,12 +340,13 @@ SlotRing::scheduledTick()
     } else {
         const SlotVisit *v = visits_.data() + visitHead_[r];
         const SlotVisit *end = visits_.data() + visitHead_[r + 1];
+        work_.scheduledVisits += static_cast<Count>(end - v);
         for (; v != end; ++v) {
-            // A tracked node with nothing pending only reacts to
-            // occupied slots; untracked nodes are always visited.
-            if (!bitTest(occAny_, v->slot) && tracked_[v->node] &&
-                !pending_[v->node])
+            bool occupied = bitTest(occAny_, v->slot);
+            if (!wantsVisit(*v, occupied))
                 continue;
+            ++work_.dispatchedVisits;
+            work_.occupiedDispatches += occupied;
             SlotHandle handle(*this, v->slot, v->node);
             clients_[v->node]->onSlot(handle);
         }
@@ -364,14 +368,20 @@ SlotRing::batchedTick(unsigned r)
     SlotVisit *out = batch_.data();
     const SlotVisit *v = visits_.data() + visitHead_[r];
     const SlotVisit *vend = visits_.data() + visitHead_[r + 1];
+    work_.scheduledVisits += static_cast<Count>(vend - v);
+    Count occupied_visits = 0;
     for (; v != vend; ++v) {
-        if (!bitTest(occAny_, v->slot) && tracked_[v->node] &&
-            !pending_[v->node])
+        bool occupied = bitTest(occAny_, v->slot);
+        if (!wantsVisit(*v, occupied))
             continue;
+        occupied_visits += occupied;
         *out++ = *v;
     }
-    if (out != batch_.data())
+    if (out != batch_.data()) {
+        work_.dispatchedVisits += static_cast<Count>(out - batch_.data());
+        work_.occupiedDispatches += occupied_visits;
         uniformClient_->onVisits(*this, batch_.data(), out);
+    }
 }
 
 void

@@ -24,8 +24,9 @@
  * per rotation offset replaces the per-node modulo scan, and when one
  * client serves every node the rotation's live visits are handed to it
  * in one RingClient::onVisits call. Nodes that opted in via
- * enableIdleSkip() are only visited when the arriving slot is occupied
- * or the node flagged pending work via notifyPending(), and a fully
+ * enableIdleSkip() are only visited when the arriving slot carries a
+ * message that names them (or is corrupt), or when the node flagged
+ * pending work via notifyPending() and the slot is empty, and a fully
  * quiescent ring fast-forwards across idle cycles in O(1). The
  * original scan loop is retained behind RingConfig::referenceTickPath
  * and the two are held byte-identical by
@@ -58,15 +59,31 @@ namespace ringsim::ring {
 /** Destination value meaning "snooped by everyone" (broadcast probes). */
 inline constexpr NodeId broadcastNode = invalidNode - 1;
 
-/** A message occupying one slot. */
+/**
+ * A message occupying one slot.
+ *
+ * The message names the nodes that act on it, and a node that opted
+ * into idle skipping (SlotRing::enableIdleSkip) is dispatched an
+ * occupied slot only when it is one of them: the *remover* — dst, or
+ * src when dst is broadcastNode (a probe returning to its sender) —
+ * or the *tap*. A message with dst == invalidNode names no remover
+ * and passes every opted-in node untouched.
+ */
 struct RingMessage
 {
     NodeId src = invalidNode;  //!< inserting node
     NodeId dst = invalidNode;  //!< destination, or broadcastNode
     Addr addr = 0;             //!< block base address
     std::uint32_t kind = 0;    //!< protocol-defined opcode
+    /** One more node that must see this message as it passes (a
+     *  snoop probe's supplier), or invalidNode. Fills the alignment
+     *  gap before payload. */
+    NodeId tap = invalidNode;
     std::uint64_t payload = 0; //!< protocol-defined extra field
 };
+
+static_assert(sizeof(RingMessage) == 32,
+              "RingMessage::tap must fit in the struct's padding");
 
 class SlotRing;
 
@@ -75,6 +92,22 @@ struct SlotVisit
 {
     NodeId node;
     std::uint32_t slot;
+};
+
+/**
+ * Deterministic counts of the schedule-driven tick's dispatch work (the
+ * reference scan counts nothing). Kept out of every RunResult (and so
+ * out of cache keys): they describe how the simulator computed the
+ * answer, not the answer.
+ */
+struct RingWork
+{
+    /** Schedule entries the tick walked (quiescent ticks walk none). */
+    Count scheduledVisits = 0;
+    /** Visits handed to a client (onSlot or onVisits). */
+    Count dispatchedVisits = 0;
+    /** Dispatched visits whose slot was occupied. */
+    Count occupiedDispatches = 0;
 };
 
 /**
@@ -180,11 +213,17 @@ class SlotRing
     void setClient(NodeId n, RingClient &client);
 
     /**
-     * Declare that node @p n's client is a pure reactor: its onSlot()
-     * has no effect when the slot is empty and the node has no pending
-     * work (it neither mutates state nor gathers statistics on such
-     * visits). The ring then skips those calls, and once every node
-     * has opted in it may fast-forward across fully idle stretches.
+     * Declare that node @p n's client is a pure reactor. It promises
+     * that its onSlot() has no effect (it neither mutates state nor
+     * gathers statistics) when
+     *  - the slot is empty and the node has no pending work, or
+     *  - the slot is occupied, uncorrupted, and the node is neither
+     *    the message's remover (dst, or src for a broadcast) nor its
+     *    tap (see RingMessage).
+     * The ring then skips those calls, and once every node has opted
+     * in it may fast-forward across fully idle stretches. A corrupt
+     * slot is dispatched to the first opted-in node it reaches, which
+     * is expected to discard it.
      *
      * A client that opts in MUST call notifyPending()/clearPending()
      * as work to insert appears and drains; otherwise it would never
@@ -254,6 +293,9 @@ class SlotRing
     /** Slots currently occupied (for tests). */
     unsigned occupiedNow() const;
 
+    /** Dispatch work since construction (not reset by resetStats). */
+    const RingWork &work() const { return work_; }
+
     /** Which parity probe slot serves @p addr. */
     SlotType probeTypeFor(Addr addr) const;
 
@@ -291,6 +333,23 @@ class SlotRing
     void scheduledTick();
     /** Gather one rotation's live visits and batch-dispatch them. */
     void batchedTick(unsigned r);
+
+    /**
+     * The visit predicate of both scheduled paths: must node v.node
+     * see slot v.slot now? Untracked nodes see every slot; a tracked
+     * node sees an empty slot while pending, and an occupied one when
+     * it is the message's remover or tap or the slot is corrupt.
+     */
+    bool wantsVisit(const SlotVisit &v, bool occupied) const {
+        if (!tracked_[v.node])
+            return true;
+        if (!occupied)
+            return pending_[v.node] != 0;
+        const SlotNames &names = names_[v.slot];
+        return names.remover == v.node || names.tap == v.node ||
+               bitTest(corrupt_, v.slot);
+    }
+
     void injectFaults(Count cycle);
 
     /**
@@ -381,6 +440,16 @@ class SlotRing
     /** Dense message payloads, indexed by slot. */
     std::vector<RingMessage> msgs_;
 
+    /** The nodes an occupied slot's message names (RingMessage). */
+    struct SlotNames
+    {
+        NodeId remover;
+        NodeId tap;
+    };
+    /** names_[slot], written at insert; what wantsVisit reads instead
+     *  of the 32-byte msgs_ entry. Stale while the slot is empty. */
+    std::vector<SlotNames> names_;
+
     // Cold traversal-audit state, touched only on insert/remove and by
     // the invariant monitor — kept out of the per-visit cache
     // footprint on purpose.
@@ -434,6 +503,7 @@ class SlotRing
     Count occAccruedAt_ = 0;
     Count inserted_[3] = {0, 0, 0};
     Count removed_[3] = {0, 0, 0};
+    RingWork work_;
 };
 
 // SlotHandle accessors are on the per-slot hot path of every protocol

@@ -8,14 +8,17 @@
  * RingConfig::referenceTickPath as the executable specification. Every
  * full-system measurement a paper figure plots is compared EXACTLY
  * (doubles included — the arithmetic must be the same, not merely
- * close), across both ring protocols, the paper's node counts, fault
- * injection on/off, and warm-reset vs cold-start measurement windows
- * (warmupFrac 0.3 triggers a mid-run SlotRing::resetStats(), 0 never
- * rebases).
+ * close), across both ring protocols, the paper's node counts, all
+ * three 64-processor Figure 4 workloads, fault injection on/off (plus a
+ * heavy-corruption case that sends thousands of corrupt slots through
+ * the visit predicate's discard branch), and warm-reset vs cold-start
+ * measurement windows (warmupFrac 0.3 triggers a mid-run
+ * SlotRing::resetStats(), 0 never rebases).
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -41,17 +44,53 @@ struct GoldenCase
      * cycle rebasing) is part of the observable behavior.
      */
     double warmup;
+    /** Workload preset. MP3D covers the 8–32 processor points; the
+     *  paper's 64-processor workloads are FFT/WEATHER/SIMPLE. */
+    trace::Benchmark bench;
+    /** Corruption rate per occupied slot per cycle when faults are
+     *  on; kHeavyCorrupt marks the heavy-fault cases. */
+    double corruptRate = kCorruptRate;
+
+    static constexpr double kCorruptRate = 1e-4;
+    static constexpr double kHeavyCorrupt = 1e-3;
 };
+
+/** The workload a case runs when its name does not spell one out. */
+trace::Benchmark
+defaultBench(unsigned procs)
+{
+    return procs == 64 ? trace::Benchmark::FFT : trace::Benchmark::MP3D;
+}
+
+std::string
+nameOf(const GoldenCase &c)
+{
+    const char *proto =
+        c.kind == core::ProtocolKind::RingSnoop ? "Snoop" : "Directory";
+    std::string bench;
+    if (c.bench != defaultBench(c.procs)) {
+        bench = trace::benchmarkName(c.bench);
+        for (size_t i = 1; i < bench.size(); ++i)
+            bench[i] = static_cast<char>(std::tolower(bench[i]));
+    }
+    return proto + std::to_string(c.procs) + bench +
+           (c.faults ? "FaultsOn" : "FaultsOff") +
+           (c.corruptRate == GoldenCase::kHeavyCorrupt ? "Heavy" : "") +
+           (c.warmup > 0 ? "WarmReset" : "ColdStart");
+}
 
 std::string
 caseName(const ::testing::TestParamInfo<GoldenCase> &info)
 {
-    const GoldenCase &c = info.param;
-    const char *proto =
-        c.kind == core::ProtocolKind::RingSnoop ? "Snoop" : "Directory";
-    return proto + std::to_string(c.procs) +
-           (c.faults ? "FaultsOn" : "FaultsOff") +
-           (c.warmup > 0 ? "WarmReset" : "ColdStart");
+    return nameOf(info.param);
+}
+
+/** gtest prints a parameter in the test listing; by name, not by its
+ *  raw bytes (which include uninitialised padding). */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << nameOf(c);
 }
 
 class GoldenEquivalence : public ::testing::TestWithParam<GoldenCase>
@@ -65,16 +104,12 @@ runWith(const GoldenCase &c, bool reference)
     cfg.ring.referenceTickPath = reference;
     cfg.common.warmupFrac = c.warmup;
     if (c.faults) {
-        cfg.common.faults.corruptRate = 1e-4;
+        cfg.common.faults.corruptRate = c.corruptRate;
         cfg.common.faults.dropRate = 5e-5;
         cfg.common.faults.stallRate = 1e-5;
         cfg.common.faults.seed = 11;
     }
-    // MP3D presets cover the 8–32 processor points; the paper's
-    // 64-processor workloads are FFT/WEATHER/SIMPLE.
-    trace::Benchmark b = c.procs == 64 ? trace::Benchmark::FFT
-                                       : trace::Benchmark::MP3D;
-    auto wl = trace::workloadPreset(b, c.procs);
+    auto wl = trace::workloadPreset(c.bench, c.procs);
     wl.dataRefsPerProc = c.procs <= 16 ? 2000 : c.procs == 32 ? 1200
                                                               : 800;
     return core::runRingSystem(cfg, wl, c.kind);
@@ -103,6 +138,11 @@ TEST_P(GoldenEquivalence, FastPathMatchesReferenceExactly)
     EXPECT_EQ(ref.fatalTxns, fast.fatalTxns);
     EXPECT_EQ(ref.nacks, fast.nacks);
     EXPECT_EQ(ref.timeouts, fast.timeouts);
+    if (GetParam().corruptRate == GoldenCase::kHeavyCorrupt) {
+        // The point of the heavy case: corrupt slots by the thousand,
+        // each dispatched to the first node it reaches and discarded.
+        EXPECT_GT(ref.faultsInjected, 1000u);
+    }
 }
 
 std::vector<GoldenCase>
@@ -110,11 +150,20 @@ allCases()
 {
     std::vector<GoldenCase> cases;
     for (auto kind : {core::ProtocolKind::RingSnoop,
-                      core::ProtocolKind::RingDirectory})
+                      core::ProtocolKind::RingDirectory}) {
         for (unsigned procs : {8u, 16u, 32u, 64u})
             for (bool faults : {false, true})
                 for (double warmup : {0.3, 0.0})
-                    cases.push_back({kind, procs, faults, warmup});
+                    cases.push_back({kind, procs, faults, warmup,
+                                     defaultBench(procs)});
+        // The other two Figure 4 workloads.
+        for (auto bench :
+             {trace::Benchmark::WEATHER, trace::Benchmark::SIMPLE})
+            for (bool faults : {false, true})
+                cases.push_back({kind, 64, faults, 0.3, bench});
+        cases.push_back({kind, 64, true, 0.3, defaultBench(64),
+                         GoldenCase::kHeavyCorrupt});
+    }
     return cases;
 }
 

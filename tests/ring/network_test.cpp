@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit tests for the cycle-level slotted ring: delivery timing,
- * snooping visibility, parity rules, anti-starvation, occupancy.
+ * snooping visibility, parity rules, anti-starvation, occupancy, and
+ * the visit predicate that decides which tracked nodes an occupied
+ * slot is dispatched to.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/fault/fault.hpp"
 #include "src/ring/network.hpp"
 
 namespace ringsim::ring {
@@ -488,6 +491,165 @@ TEST_F(RingNetworkTest, ReferencePathMatchesFastPathCycleForCycle)
     EXPECT_EQ(std::get<1>(ref), std::get<1>(fast));
     EXPECT_EQ(std::get<2>(ref), std::get<2>(fast));
     EXPECT_EQ(std::get<0>(ref).size(), 5u);
+}
+
+/**
+ * Eight clients counting their visits. Node @p sender inserts @p msg
+ * into the first slot that takes it (it is pending until then); nobody
+ * removes anything unless a test adds a hook of its own.
+ */
+class VisitPredicateTest : public RingNetworkTest
+{
+  protected:
+    struct Visits
+    {
+        Count empty = 0;
+        Count occupied = 0;
+        Count corrupt = 0;
+    };
+
+    void
+    countVisits(const RingMessage &msg)
+    {
+        for (NodeId n = 0; n < 8; ++n) {
+            clients_[n].hook = [this, n, msg](SlotHandle &slot) {
+                if (!slot.occupied()) {
+                    ++visits_[n].empty;
+                    if (n == msg.src && !inserted_ &&
+                        slot.canInsert(msg.addr) &&
+                        (slot.type() == SlotType::Block) == block_) {
+                        slot.insert(msg);
+                        inserted_ = true;
+                        insertedAt_ = kernel_.now();
+                        ring_->clearPending(n);
+                    }
+                    return;
+                }
+                ++visits_[n].occupied;
+                if (slot.corrupted()) {
+                    ++visits_[n].corrupt;
+                    slot.remove();
+                }
+            };
+        }
+        ring_->notifyPending(msg.src);
+    }
+
+    /** Run until the message is on the ring, then @p loops more full
+     *  traversals: every node the slot passes sees it @p loops times,
+     *  the sender included. */
+    void
+    runLoops(unsigned loops)
+    {
+        ring_->start(0);
+        while (!inserted_)
+            kernel_.run(kernel_.now() + config_.clockPeriod);
+        kernel_.run(insertedAt_ + static_cast<Tick>(loops) *
+                                      config_.totalStages() *
+                                      config_.clockPeriod);
+        ring_->stop();
+    }
+
+    std::array<Visits, 8> visits_{};
+    bool block_ = false;
+    bool inserted_ = false;
+    Tick insertedAt_ = 0;
+};
+
+TEST_F(VisitPredicateTest, BroadcastReachesOnlyItsTapAndSource)
+{
+    for (NodeId n = 0; n < 8; ++n)
+        ring_->enableIdleSkip(n);
+    RingMessage msg;
+    msg.src = 2;
+    msg.dst = broadcastNode;
+    msg.tap = 6;
+    msg.addr = 0x200; // even block
+    countVisits(msg);
+    runLoops(3);
+    for (NodeId n = 0; n < 8; ++n) {
+        Count expect = (n == 2 || n == 6) ? 3 : 0;
+        EXPECT_EQ(visits_[n].occupied, expect) << "node " << n;
+    }
+    EXPECT_EQ(ring_->work().occupiedDispatches, 6u);
+}
+
+TEST_F(VisitPredicateTest, UnicastReachesOnlyItsDestination)
+{
+    for (NodeId n = 0; n < 8; ++n)
+        ring_->enableIdleSkip(n);
+    RingMessage msg;
+    msg.src = 1;
+    msg.dst = 5;
+    msg.addr = 0x100;
+    block_ = true;
+    countVisits(msg);
+    runLoops(2);
+    for (NodeId n = 0; n < 8; ++n) {
+        Count expect = n == 5 ? 2 : 0;
+        EXPECT_EQ(visits_[n].occupied, expect) << "node " << n;
+    }
+}
+
+TEST_F(VisitPredicateTest, CorruptSlotReachesFirstTrackedNode)
+{
+    // Every occupied slot is corrupted on the cycle after insertion,
+    // so node 1's unicast to node 5 is corrupt before it reaches node
+    // 2 — the first node downstream, which must see it to discard it.
+    fault::FaultConfig fc;
+    fc.corruptRate = 1.0;
+    fault::FaultInjector injector(fc);
+    ring_->setFaultInjector(&injector);
+    for (NodeId n = 0; n < 8; ++n)
+        ring_->enableIdleSkip(n);
+    RingMessage msg;
+    msg.src = 1;
+    msg.dst = 5;
+    msg.addr = 0x100;
+    block_ = true;
+    countVisits(msg);
+    runLoops(1);
+    for (NodeId n = 0; n < 8; ++n) {
+        Count expect = n == 2 ? 1 : 0;
+        EXPECT_EQ(visits_[n].occupied, expect) << "node " << n;
+        EXPECT_EQ(visits_[n].corrupt, expect) << "node " << n;
+    }
+    EXPECT_EQ(ring_->occupiedNow(), 0u);
+}
+
+TEST_F(VisitPredicateTest, UntrackedNodeSeesEverySlot)
+{
+    // Node 3 never opts in: it sees each slot once per rotation,
+    // empty or not, while tracked node 4 is never shown the unicast.
+    for (NodeId n = 0; n < 8; ++n)
+        if (n != 3)
+            ring_->enableIdleSkip(n);
+    RingMessage msg;
+    msg.src = 1;
+    msg.dst = 5;
+    msg.addr = 0x100;
+    block_ = true;
+    countVisits(msg);
+    runLoops(2);
+    EXPECT_EQ(visits_[3].occupied, 2u);
+    EXPECT_GE(visits_[3].empty + visits_[3].occupied,
+              2u * ring_->config().totalSlots());
+    EXPECT_EQ(visits_[4].occupied, 0u);
+    EXPECT_EQ(visits_[4].empty, 0u);
+}
+
+TEST_F(RingNetworkTest, WorkCountsScheduledAndDispatchedVisits)
+{
+    // Untracked nodes: every scheduled visit is dispatched, so one
+    // rotation schedules nodes * slots visits and dispatches them all.
+    ring_->start(0);
+    kernel_.run(static_cast<Tick>(config_.totalStages() - 1) *
+                config_.clockPeriod);
+    ring_->stop();
+    Count all = Count(8) * ring_->config().totalSlots();
+    EXPECT_EQ(ring_->work().scheduledVisits, all);
+    EXPECT_EQ(ring_->work().dispatchedVisits, all);
+    EXPECT_EQ(ring_->work().occupiedDispatches, 0u);
 }
 
 TEST(RingNetworkDeathTest, StartWithoutClientsPanics)
