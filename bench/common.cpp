@@ -4,34 +4,16 @@
 #include <iostream>
 
 #include "service/client.hpp"
-#include "util/json.hpp"
+#include "service/job.hpp"
 #include "util/logging.hpp"
 
 namespace ringsim::bench {
 
-void
-Options::apply(trace::WorkloadConfig &cfg) const
-{
-    cfg.dataRefsPerProc = fast ? refs / 4 : refs;
-    cfg.seed = seed;
-}
-
-figures::FigureOptions
-Options::figureOptions() const
-{
-    figures::FigureOptions fo;
-    fo.refs = refs;
-    fo.seed = seed;
-    fo.fast = fast;
-    fo.jobs = jobs;
-    fo.faults = faults;
-    return fo;
-}
-
 Options
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv, bool cholesky_flag)
 {
     Options opt;
+    figures::FigureOptions &fo = opt.figure;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto need_value = [&](const char *flag) -> std::string {
@@ -40,35 +22,37 @@ parseOptions(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--refs") {
-            opt.refs = std::strtoull(need_value("--refs").c_str(),
-                                     nullptr, 10);
-            if (opt.refs == 0)
+            fo.refs = std::strtoull(need_value("--refs").c_str(),
+                                    nullptr, 10);
+            if (fo.refs == 0)
                 fatal("--refs must be positive");
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(need_value("--seed").c_str(),
-                                     nullptr, 10);
+            fo.seed = std::strtoull(need_value("--seed").c_str(),
+                                    nullptr, 10);
         } else if (arg == "--csv") {
             opt.csv = true;
         } else if (arg == "--fast") {
-            opt.fast = true;
+            fo.fast = true;
         } else if (arg == "--jobs") {
-            opt.jobs = static_cast<unsigned>(
+            fo.jobs = static_cast<unsigned>(
                 std::strtoul(need_value("--jobs").c_str(), nullptr, 10));
-            if (opt.jobs == 0)
+            if (fo.jobs == 0)
                 fatal("--jobs must be positive");
         } else if (arg == "--fault-rate") {
             double rate =
                 std::strtod(need_value("--fault-rate").c_str(), nullptr);
-            opt.faults.corruptRate = rate;
-            opt.faults.dropRate = rate;
+            fo.faults.corruptRate = rate;
+            fo.faults.dropRate = rate;
         } else if (arg == "--fault-stalls") {
-            opt.faults.stallRate = std::strtod(
+            fo.faults.stallRate = std::strtod(
                 need_value("--fault-stalls").c_str(), nullptr);
         } else if (arg == "--fault-seed") {
-            opt.faults.seed = std::strtoull(
+            fo.faults.seed = std::strtoull(
                 need_value("--fault-seed").c_str(), nullptr, 10);
         } else if (arg == "--service") {
             opt.service = need_value("--service");
+        } else if (arg == "--cholesky" && cholesky_flag) {
+            opt.cholesky = true;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "flags: --refs N  --seed S  --csv  --fast  "
                          "--jobs N  --fault-rate R  --fault-stalls R  "
@@ -78,68 +62,35 @@ parseOptions(int argc, char **argv)
             fatal("unknown flag '%s' (try --help)", arg.c_str());
         }
     }
-    opt.faults.validate();
+    fo.faults.validate();
     return opt;
 }
 
-void
-emit(const Options &opt, const std::string &title,
-     const TextTable &table)
+int
+runFigure(figures::FigureId id, const Options &opt)
 {
-    if (opt.csv) {
-        table.printCsv(std::cout);
-        return;
+    if (opt.service.empty()) {
+        std::cout << figures::renderFigure(id, opt.figure, opt.csv,
+                                           opt.cholesky);
+        return 0;
     }
-    std::cout << "\n== " << title << " ==\n";
-    table.print(std::cout);
-}
-
-namespace {
-
-/** The sweep-job request a figure bench submits to the daemon. */
-util::JsonValue
-sweepRequest(figures::FigureId id, const Options &opt,
-             bool fig6_cholesky)
-{
-    util::JsonValue job = util::JsonValue::object();
-    job.set("type", util::JsonValue::string("sweep"));
-    job.set("figure",
-            util::JsonValue::string(figures::figureName(id)));
-    job.set("csv", util::JsonValue::boolean(opt.csv));
-    job.set("cholesky", util::JsonValue::boolean(fig6_cholesky));
-    job.set("refs", util::JsonValue::integer(opt.refs));
-    job.set("seed", util::JsonValue::integer(opt.seed));
-    job.set("fast", util::JsonValue::boolean(opt.fast));
-    if (opt.faults.enabled()) {
-        util::JsonValue f = util::JsonValue::object();
-        f.set("corrupt_rate",
-              util::JsonValue::number(opt.faults.corruptRate));
-        f.set("drop_rate",
-              util::JsonValue::number(opt.faults.dropRate));
-        f.set("stall_rate",
-              util::JsonValue::number(opt.faults.stallRate));
-        f.set("stall_cycles",
-              util::JsonValue::integer(opt.faults.stallCycles));
-        f.set("seed", util::JsonValue::integer(opt.faults.seed));
-        job.set("faults", std::move(f));
-    }
+    // The request is the sweep job's canonical spec: the daemon
+    // parses it back to the same spec, so its cache key is the one
+    // any other client of the same sweep computes.
+    service::JobSpec spec;
+    spec.kind = service::JobKind::Sweep;
+    spec.figure = id;
+    spec.csv = opt.csv;
+    spec.fig6Cholesky = opt.cholesky;
+    spec.refs = opt.figure.refs;
+    spec.seed = opt.figure.seed;
+    spec.fast = opt.figure.fast;
+    spec.faults = opt.figure.faults;
     util::JsonValue req = util::JsonValue::object();
     req.set("op", util::JsonValue::string("submit"));
     req.set("wait", util::JsonValue::boolean(true));
-    req.set("job", std::move(job));
-    return req;
-}
+    req.set("job", spec.canonical());
 
-} // namespace
-
-int
-runFigure(figures::FigureId id, const Options &opt, bool fig6_cholesky)
-{
-    if (opt.service.empty()) {
-        std::cout << figures::renderFigure(id, opt.figureOptions(),
-                                           opt.csv, fig6_cholesky);
-        return 0;
-    }
     service::ServiceClient client;
     std::string error;
     if (!client.tryConnect(opt.service, &error))
@@ -147,8 +98,7 @@ runFigure(figures::FigureId id, const Options &opt, bool fig6_cholesky)
     util::JsonValue response;
     // Resilient call: a daemon under --chaos may drop or garble the
     // response; the retry must still deliver the byte-identical text.
-    if (!client.tryCallResilient(sweepRequest(id, opt, fig6_cholesky),
-                                 &response, &error))
+    if (!client.tryCallResilient(req, &response, &error))
         fatal("--service %s: %s", opt.service.c_str(), error.c_str());
     std::vector<std::string> errors;
     std::string state = response.getString("state", "?", &errors);

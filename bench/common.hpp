@@ -1,10 +1,12 @@
 /**
  * @file
- * Shared helpers for the experiment (bench) binaries.
+ * Flag parsing and the local-or-service run of the bench binaries.
  *
- * Every bench reproduces one table or figure of the paper: it prints
- * the paper's reference values next to ringsim's measured values, as
- * an aligned text table (default) or CSV (--csv). Common flags:
+ * Every bench reproduces one artifact of the paper, a registered sweep
+ * of src/figures: bench/artifact_main.cpp is built once per artifact
+ * name and prints the paper's reference values next to ringsim's
+ * measured values, as an aligned text table (default) or CSV (--csv).
+ * Common flags:
  *
  *   --refs N    data references per processor (default 120000)
  *   --seed S    master workload seed
@@ -12,73 +14,61 @@
  *   --fast      quarter-length traces (quick shape check)
  *   --jobs N    worker threads for the experiment sweep (default:
  *               $RINGSIM_JOBS, else all hardware threads; 1 = serial)
+ *   --service E submit the sweep to a ringsim_serve daemon (or a
+ *               ringsim_fleetd coordinator) instead of computing it
  *
  * Results are independent of --jobs: every job is self-contained and
  * result slots are ordered by submission, so parallel and serial runs
- * emit byte-identical tables.
+ * emit byte-identical tables. They are independent of --service too:
+ * the daemon runs the identical registered sweep.
  */
 
 #ifndef RINGSIM_BENCH_COMMON_HPP
 #define RINGSIM_BENCH_COMMON_HPP
 
 #include <string>
-#include <vector>
 
-#include "fault/fault.hpp"
 #include "figures/figures.hpp"
-#include "trace/workload.hpp"
-#include "util/table.hpp"
 
 namespace ringsim::bench {
 
-/** Parsed common options. */
+/** Parsed bench flags. */
 struct Options
 {
-    Count refs = 120'000;
-    std::uint64_t seed = 12345;
-    bool csv = false;
-    bool fast = false;
-    unsigned jobs = 0; //!< sweep worker threads; 0 = auto
-
     /**
-     * Fault injection (--fault-rate R --fault-seed S --fault-stalls R):
-     * rate R applies to both corruption and drops. All zero (the
-     * default) leaves every bench fault-free and byte-identical to
-     * builds without the fault subsystem.
+     * --refs/--seed/--fast/--jobs, plus fault injection
+     * (--fault-rate R --fault-seed S --fault-stalls R; rate R applies
+     * to both corruption and drops). All-zero faults (the default)
+     * leave every bench byte-identical to builds without the fault
+     * subsystem.
      */
-    fault::FaultConfig faults;
+    figures::FigureOptions figure;
+
+    bool csv = false;      //!< --csv
+    bool cholesky = false; //!< --cholesky (Figure 6 only)
 
     /**
      * Experiment-service endpoint (--service tcp:PORT|unix:PATH|PATH).
-     * When set, the figure benches submit their sweep to a
-     * ringsim_serve daemon instead of computing locally; the daemon
-     * runs the identical figures:: sweep, so the printed bytes match
-     * a local run (and a warm daemon answers from its cache).
+     * When set, the sweep is submitted to the daemon instead of being
+     * computed locally; the printed bytes match a local run (and a
+     * warm daemon answers from its cache).
      */
     std::string service;
-
-    /** Apply refs/seed to a workload preset. */
-    void apply(trace::WorkloadConfig &cfg) const;
-
-    /** The figure-library view of these options. */
-    figures::FigureOptions figureOptions() const;
 };
 
-/** Parse the common flags; fatal()s on unknown arguments. */
-Options parseOptions(int argc, char **argv);
-
-/** Print @p table as text or CSV per @p opt, with a title line. */
-void emit(const Options &opt, const std::string &title,
-          const TextTable &table);
+/**
+ * Parse the bench flags; fatal()s on unknown arguments. --cholesky is
+ * accepted only when @p cholesky_flag.
+ */
+Options parseOptions(int argc, char **argv, bool cholesky_flag = false);
 
 /**
- * Run figure @p id under @p opt and print the output — locally, or
+ * Run artifact @p id under @p opt and print the output — locally, or
  * through the daemon named by --service. Returns the process exit
  * code (a service failure is fatal(); there is no silent fallback,
  * so a benchmark run never mixes the two paths).
  */
-int runFigure(figures::FigureId id, const Options &opt,
-              bool fig6_cholesky = false);
+int runFigure(figures::FigureId id, const Options &opt);
 
 } // namespace ringsim::bench
 

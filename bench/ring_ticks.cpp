@@ -41,11 +41,12 @@ namespace {
  * One client object registered for every node — the same uniform
  * registration the protocol engines use, so the ring batch-dispatches
  * whole rotations through onVisits. Node 0 first fills the ring to
- * the requested occupancy with circulating messages (destination
- * nobody, never removed); every visit thereafter is a pure reaction.
- * Those messages name no node, so once every node opts into idle
- * skipping the schedule-driven path gathers each rotation and
- * dispatches nothing: the ref:0 rows time the gather alone.
+ * the requested occupancy with circulating messages, addressed round
+ * robin to every node and never removed; every visit thereafter is a
+ * pure reaction. Each filler names its destination as its remover, so
+ * the schedule-driven path dispatches every occupied slot once per
+ * rotation, at that node: the ref:0 rows time the gather plus the
+ * addressed dispatch, as a protocol's directed messages exercise it.
  */
 class UniformTickClient : public ring::RingClient
 {
@@ -91,7 +92,8 @@ class UniformTickClient : public ring::RingClient
         if (slot.node() == 0 && placed < target) {
             ring::RingMessage msg;
             msg.src = slot.node();
-            msg.dst = invalidNode; // circulates forever
+            // Never removed: the destination only reacts to it.
+            msg.dst = static_cast<NodeId>(placed % ring->config().nodes);
             // Match the probe-slot parity rule (block slots take any).
             msg.addr =
                 slot.type() == ring::SlotType::ProbeOdd ? 0x10 : 0x0;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Service smoke test: boots a ringsim_serve daemon, routes fig3 sweeps
 # through it from four concurrent bench clients (faults off and on),
-# and checks the acceptance properties end to end:
+# plus one table artifact, and checks the acceptance properties end to
+# end:
 #
 #   * every routed client's bytes equal a direct (library) run,
 #   * a warm resubmission is answered from the result cache,
@@ -21,7 +22,8 @@ STATSZ_OUT="${STATSZ_OUT:-SERVICE_statsz.json}"
 SERVE="$BUILD_DIR/src/service/ringsim_serve"
 SUBMIT="$BUILD_DIR/src/service/ringsim_submit"
 FIG3="$BUILD_DIR/bench/fig3_snoop_vs_dir"
-for bin in "$SERVE" "$SUBMIT" "$FIG3"; do
+TABLE2="$BUILD_DIR/bench/table2_traces"
+for bin in "$SERVE" "$SUBMIT" "$FIG3" "$TABLE2"; do
     [ -x "$bin" ] || { echo "missing binary: $bin" >&2; exit 1; }
 done
 
@@ -99,6 +101,13 @@ echo "ok: warm resubmission $(( COLD_MS / WARM_MS ))x faster"
 "$FIG3" --fast --refs "$REFS" --service "$SOCK" \
     > "$WORK/routed_warm.txt"
 cmp "$WORK/direct.txt" "$WORK/routed_warm.txt"
+
+echo "== a table artifact routes like a figure =="
+"$TABLE2" --fast --refs "$REFS" > "$WORK/table2_direct.txt"
+"$TABLE2" --fast --refs "$REFS" --service "$SOCK" \
+    > "$WORK/table2_routed.txt"
+cmp "$WORK/table2_direct.txt" "$WORK/table2_routed.txt"
+echo "ok: table2_traces through the daemon byte-identical to direct run"
 
 "$SUBMIT" --endpoint "$SOCK" statsz | tee "$STATSZ_OUT"
 python3 - "$STATSZ_OUT" <<'EOF'

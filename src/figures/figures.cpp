@@ -15,13 +15,6 @@ cycleSweepNs()
     return sweep;
 }
 
-TextTable
-makeFigureTable()
-{
-    return TextTable({"workload", "series", "source", "cycle (ns)",
-                      "proc util %", "net util %", "miss lat (ns)"});
-}
-
 void
 FigureOptions::apply(trace::WorkloadConfig &cfg) const
 {
@@ -29,229 +22,66 @@ FigureOptions::apply(trace::WorkloadConfig &cfg) const
     cfg.seed = seed;
 }
 
-namespace {
-
-using Row = std::vector<std::string>;
-
-Row
-makeRow(const trace::WorkloadConfig &wl, const std::string &label,
-        const char *source, double cycle_ns, double putil,
-        double netutil, double lat)
+void
+FigureSweep::addCensusBlock(const trace::WorkloadConfig &wl,
+                            CensusFn census, RowsFn rows)
 {
-    return {wl.displayName(), label, source, fmtDouble(cycle_ns, 0),
-            fmtPercent(putil, 1), fmtPercent(netutil, 1),
-            fmtDouble(lat, 0)};
+    std::string key = wl.displayName() + "/" + std::to_string(wl.seed) +
+                      "/" + std::to_string(wl.dataRefsPerProc);
+    std::size_t slot = 0;
+    while (slot < calibrations_.size() &&
+           (calibrations_[slot].census != census ||
+            calibrations_[slot].key != key))
+        ++slot;
+    if (slot == calibrations_.size())
+        calibrations_.push_back({wl, census, std::move(key)});
+    blocks_.push_back({std::move(rows), slot, false});
 }
 
-std::vector<Row>
-ringSeriesRows(const trace::WorkloadConfig &wl,
-               const coherence::Census &census, Tick ring_period,
-               model::RingProtocol protocol, const std::string &label)
+void
+FigureSweep::addBlock(bool sim, RowsFn rows)
 {
-    std::vector<Row> rows;
-    for (double cycle_ns : cycleSweepNs()) {
-        model::RingModelInput in;
-        in.census = census;
-        in.ring =
-            core::RingSystemConfig::forProcs(wl.procs, ring_period)
-                .ring;
-        in.system.procCycle = nsToTicks(cycle_ns);
-        in.protocol = protocol;
-        model::ModelResult r = model::solveRing(in);
-        rows.push_back(makeRow(wl, label, "model", cycle_ns,
-                               r.procUtilization, r.networkUtilization,
-                               r.missLatencyNs));
-    }
-    return rows;
+    blocks_.push_back({std::move(rows), kNoCensus, sim});
 }
-
-std::vector<Row>
-busSeriesRows(const trace::WorkloadConfig &wl,
-              const coherence::Census &census, Tick bus_period,
-              const std::string &label)
-{
-    std::vector<Row> rows;
-    for (double cycle_ns : cycleSweepNs()) {
-        model::BusModelInput in;
-        in.census = census;
-        in.bus = core::BusSystemConfig::forProcs(wl.procs, bus_period)
-                     .bus;
-        in.system.procCycle = nsToTicks(cycle_ns);
-        model::ModelResult r = model::solveBus(in);
-        rows.push_back(makeRow(wl, label, "model", cycle_ns,
-                               r.procUtilization, r.networkUtilization,
-                               r.missLatencyNs));
-    }
-    return rows;
-}
-
-std::vector<Row>
-ringSimRows(const trace::WorkloadConfig &wl, Tick ring_period,
-            core::ProtocolKind kind, const fault::FaultConfig &faults,
-            const std::string &label)
-{
-    core::RingSystemConfig cfg =
-        core::RingSystemConfig::forProcs(wl.procs, ring_period);
-    cfg.common.faults = faults;
-    core::RunResult r = core::runRingSystem(cfg, wl, kind);
-    return {makeRow(wl, label, "sim", 20, r.procUtilization,
-                    r.networkUtilization, r.missLatencyNs)};
-}
-
-std::vector<Row>
-busSimRows(const trace::WorkloadConfig &wl, Tick bus_period,
-           const std::string &label)
-{
-    core::BusSystemConfig cfg =
-        core::BusSystemConfig::forProcs(wl.procs, bus_period);
-    core::RunResult r = core::runBusSystem(cfg, wl);
-    return {makeRow(wl, label, "sim", 20, r.procUtilization,
-                    r.networkUtilization, r.missLatencyNs)};
-}
-
-std::string
-workloadKey(const trace::WorkloadConfig &wl)
-{
-    return wl.displayName() + "/" + std::to_string(wl.seed) + "/" +
-           std::to_string(wl.dataRefsPerProc);
-}
-
-} // namespace
 
 std::vector<FigureRow>
 FigureSweep::blockRows(const Block &block,
-                       const coherence::Census *census,
-                       const fault::FaultConfig &faults,
-                       bool model_only)
+                       const coherence::Census *census) const
 {
-    // Degraded tier: the sim validation rows are the expensive half;
-    // model-only output simply omits them.
-    if (model_only && (block.kind == BlockKind::RingSim ||
-                       block.kind == BlockKind::BusSim))
+    // Degraded tier: the sim blocks are the expensive half; model-only
+    // output simply omits their rows.
+    if (block.sim && opt_.modelOnly)
         return {};
-    switch (block.kind) {
-      case BlockKind::RingSeries:
-        return ringSeriesRows(block.wl, *census, block.period,
-                              block.protocol, block.label);
-      case BlockKind::BusSeries:
-        return busSeriesRows(block.wl, *census, block.period,
-                             block.label);
-      case BlockKind::RingSim:
-        return ringSimRows(block.wl, block.period, block.simKind,
-                           faults, block.label);
-      case BlockKind::BusSim:
-        return busSimRows(block.wl, block.period, block.label);
-    }
-    panic("unreachable figure block kind");
+    return block.rows(census);
 }
 
-std::size_t
-FigureSweep::censusSlotFor(const trace::WorkloadConfig &wl)
-{
-    std::string key = workloadKey(wl);
-    for (std::size_t i = 0; i < calibrationKeys_.size(); ++i) {
-        if (calibrationKeys_[i] == key)
-            return i;
-    }
-    calibrationKeys_.push_back(std::move(key));
-    calibrations_.push_back(wl);
-    return calibrations_.size() - 1;
-}
-
-void
-FigureSweep::addRingSeries(const trace::WorkloadConfig &wl,
-                           Tick ring_period,
-                           model::RingProtocol protocol,
-                           const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::RingSeries;
-    block.wl = wl;
-    block.period = ring_period;
-    block.protocol = protocol;
-    block.label = label;
-    block.needsCensus = true;
-    block.censusSlot = censusSlotFor(wl);
-    blocks_.push_back(std::move(block));
-}
-
-void
-FigureSweep::addBusSeries(const trace::WorkloadConfig &wl,
-                          Tick bus_period, const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::BusSeries;
-    block.wl = wl;
-    block.period = bus_period;
-    block.label = label;
-    block.needsCensus = true;
-    block.censusSlot = censusSlotFor(wl);
-    blocks_.push_back(std::move(block));
-}
-
-void
-FigureSweep::addRingSimPoint(const trace::WorkloadConfig &wl,
-                             Tick ring_period, core::ProtocolKind kind,
-                             const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::RingSim;
-    block.wl = wl;
-    block.period = ring_period;
-    block.simKind = kind;
-    block.label = label;
-    blocks_.push_back(std::move(block));
-}
-
-void
-FigureSweep::addBusSimPoint(const trace::WorkloadConfig &wl,
-                            Tick bus_period, const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::BusSim;
-    block.wl = wl;
-    block.period = bus_period;
-    block.label = label;
-    blocks_.push_back(std::move(block));
-}
-
-TextTable
+std::vector<std::vector<FigureRow>>
 FigureSweep::run() const
 {
-    // Phase 1: one calibration job per distinct workload. Sim points
-    // do not consume a census, so they are not held up by this phase
-    // in principle; in practice calibrations are the cheaper half and
-    // the two-phase structure keeps result wiring trivial.
-    std::vector<std::function<coherence::Census()>> calib_tasks;
-    calib_tasks.reserve(calibrations_.size());
-    for (const trace::WorkloadConfig &wl : calibrations_) {
-        calib_tasks.push_back(
-            [wl]() { return model::calibrate(wl); });
-    }
+    // Phase 1: one census job per distinct (census, workload). Blocks
+    // without a census are not held up by this phase in principle; in
+    // practice censuses are the cheaper half and the two-phase
+    // structure keeps result wiring trivial.
+    std::vector<std::function<coherence::Census()>> census_tasks;
+    census_tasks.reserve(calibrations_.size());
+    for (const Calibration &c : calibrations_)
+        census_tasks.push_back([&c]() { return c.census(c.wl); });
     std::vector<coherence::Census> censuses =
-        runner::runAll(std::move(calib_tasks), opt_.jobs);
+        runner::runAll(std::move(census_tasks), opt_.jobs);
 
     // Phase 2: every registered block is one job producing its rows.
     // Blocks the degraded tier skips still occupy their index (with
-    // empty rows) so results aligns with the block index space that
-    // sweep-part jobs shard over.
-    std::vector<std::function<std::vector<Row>()>> block_tasks;
+    // empty rows), so the result aligns with the block index space
+    // that sweep-part jobs shard over.
+    std::vector<std::function<std::vector<FigureRow>()>> block_tasks;
     block_tasks.reserve(blocks_.size());
-    const fault::FaultConfig &faults = opt_.faults;
-    const bool model_only = opt_.modelOnly;
     for (const Block &block : blocks_) {
         const coherence::Census *census =
-            block.needsCensus ? &censuses[block.censusSlot] : nullptr;
-        block_tasks.push_back([&block, census, &faults,
-                               model_only]() -> std::vector<Row> {
-            return blockRows(block, census, faults, model_only);
-        });
+            block.census == kNoCensus ? nullptr : &censuses[block.census];
+        block_tasks.push_back(
+            [this, &block, census]() { return blockRows(block, census); });
     }
-    std::vector<std::vector<Row>> results =
-        runner::runAll(std::move(block_tasks), opt_.jobs);
-
-    // Assemble in registration order: bit-identical to a serial run.
-    return assemble(results);
+    return runner::runAll(std::move(block_tasks), opt_.jobs);
 }
 
 std::vector<FigureRow>
@@ -261,183 +91,91 @@ FigureSweep::runBlock(std::size_t index) const
         panic("figure block index %zu out of range (%zu blocks)",
               index, blocks_.size());
     const Block &block = blocks_[index];
-    coherence::Census census;
-    if (block.needsCensus)
-        census = model::calibrate(block.wl);
-    return blockRows(block, block.needsCensus ? &census : nullptr,
-                     opt_.faults, opt_.modelOnly);
+    if (block.census == kNoCensus)
+        return blockRows(block, nullptr);
+    const Calibration &c = calibrations_[block.census];
+    coherence::Census census = c.census(c.wl);
+    return blockRows(block, &census);
 }
 
-TextTable
-FigureSweep::assemble(
-    const std::vector<std::vector<FigureRow>> &rows_per_block) const
+bool
+FigureSweep::hasModelTier() const
 {
-    if (rows_per_block.size() != blocks_.size())
-        panic("figure assembly expects %zu block row sets, got %zu",
-              blocks_.size(), rows_per_block.size());
-    TextTable table = makeFigureTable();
-    for (const std::vector<FigureRow> &rows : rows_per_block) {
-        for (const FigureRow &row : rows)
-            table.addRow(row);
+    bool sim = false;
+    bool model = false;
+    for (const Block &block : blocks_) {
+        sim = sim || block.sim;
+        model = model || !block.sim;
     }
-    return table;
+    return sim && model;
 }
 
 const char *
 figureName(FigureId id)
 {
-    switch (id) {
-      case FigureId::Fig3:
-        return "fig3";
-      case FigureId::Fig4:
-        return "fig4";
-      case FigureId::Fig6:
-        return "fig6";
-    }
-    return "?";
+    return artifact(id).name;
 }
 
 bool
 tryFigureFromName(const std::string &name, FigureId *out)
 {
-    if (name == "fig3")
-        *out = FigureId::Fig3;
-    else if (name == "fig4")
-        *out = FigureId::Fig4;
-    else if (name == "fig6")
-        *out = FigureId::Fig6;
-    else
-        return false;
-    return true;
+    for (FigureId id : allFigures()) {
+        if (name == artifact(id).name) {
+            *out = id;
+            return true;
+        }
+    }
+    return false;
 }
 
 std::string
 figureTitle(FigureId id)
 {
-    switch (id) {
-      case FigureId::Fig3:
-        return "Figure 3: snooping vs directory, 500 MHz 32-bit "
-               "rings (SPLASH, 8/16/32 CPUs)";
-      case FigureId::Fig4:
-        return "Figure 4: snooping vs directory, 500 MHz 32-bit "
-               "ring (FFT/WEATHER/SIMPLE, 64 CPUs)";
-      case FigureId::Fig6:
-        return "Figure 6: 32-bit slotted ring vs 64-bit split "
-               "transaction bus (snooping)";
-    }
-    panic("unreachable figure id");
+    return artifact(id).title;
 }
-
-namespace {
-
-void
-buildFig3(FigureSweep &sweep, const FigureOptions &opt)
-{
-    for (trace::Benchmark b : {trace::Benchmark::MP3D,
-                               trace::Benchmark::WATER,
-                               trace::Benchmark::CHOLESKY}) {
-        for (unsigned procs : {8u, 16u, 32u}) {
-            trace::WorkloadConfig wl = trace::workloadPreset(b, procs);
-            opt.apply(wl);
-
-            sweep.addRingSeries(wl, 2000, model::RingProtocol::Snoop,
-                                "snooping");
-            sweep.addRingSeries(wl, 2000,
-                                model::RingProtocol::Directory,
-                                "directory");
-            sweep.addRingSimPoint(wl, 2000,
-                                  core::ProtocolKind::RingSnoop,
-                                  "snooping");
-            sweep.addRingSimPoint(wl, 2000,
-                                  core::ProtocolKind::RingDirectory,
-                                  "directory");
-        }
-    }
-}
-
-void
-buildFig4(FigureSweep &sweep, const FigureOptions &opt)
-{
-    for (trace::Benchmark b : {trace::Benchmark::FFT,
-                               trace::Benchmark::WEATHER,
-                               trace::Benchmark::SIMPLE}) {
-        trace::WorkloadConfig wl = trace::workloadPreset(b, 64);
-        opt.apply(wl);
-
-        sweep.addRingSeries(wl, 2000, model::RingProtocol::Snoop,
-                            "snooping");
-        sweep.addRingSeries(wl, 2000, model::RingProtocol::Directory,
-                            "directory");
-        sweep.addRingSimPoint(wl, 2000,
-                              core::ProtocolKind::RingSnoop,
-                              "snooping");
-        sweep.addRingSimPoint(wl, 2000,
-                              core::ProtocolKind::RingDirectory,
-                              "directory");
-    }
-}
-
-void
-buildFig6(FigureSweep &sweep, const FigureOptions &opt,
-          bool with_cholesky)
-{
-    std::vector<trace::Benchmark> benchmarks = {trace::Benchmark::MP3D,
-                                                trace::Benchmark::WATER};
-    if (with_cholesky)
-        benchmarks.push_back(trace::Benchmark::CHOLESKY);
-
-    for (trace::Benchmark b : benchmarks) {
-        for (unsigned procs : {8u, 16u, 32u}) {
-            trace::WorkloadConfig wl = trace::workloadPreset(b, procs);
-            opt.apply(wl);
-
-            sweep.addRingSeries(wl, 2000, model::RingProtocol::Snoop,
-                                "ring 500MHz");
-            sweep.addRingSeries(wl, 4000, model::RingProtocol::Snoop,
-                                "ring 250MHz");
-            sweep.addBusSeries(wl, 10000, "bus 100MHz");
-            sweep.addBusSeries(wl, 20000, "bus 50MHz");
-            sweep.addRingSimPoint(wl, 2000,
-                                  core::ProtocolKind::RingSnoop,
-                                  "ring 500MHz");
-            sweep.addBusSimPoint(wl, 20000, "bus 50MHz");
-        }
-    }
-}
-
-} // namespace
 
 FigureSweep
 buildFigure(FigureId id, const FigureOptions &opt, bool fig6_cholesky)
 {
     FigureSweep sweep(opt);
-    switch (id) {
-      case FigureId::Fig3:
-        buildFig3(sweep, opt);
-        break;
-      case FigureId::Fig4:
-        buildFig4(sweep, opt);
-        break;
-      case FigureId::Fig6:
-        buildFig6(sweep, opt, fig6_cholesky);
-        break;
-    }
+    artifact(id).build(sweep, fig6_cholesky);
     return sweep;
 }
 
-namespace {
+bool
+figureHasModelTier(FigureId id)
+{
+    return buildFigure(id, FigureOptions{}).hasModelTier();
+}
 
 std::string
-renderTable(FigureId id, const TextTable &table, bool csv)
+renderTable(const std::string &title, const TextTable &table, bool csv)
 {
     std::ostringstream os;
     if (csv) {
         table.printCsv(os);
     } else {
-        os << "\n== " << figureTitle(id) << " ==\n";
+        os << "\n== " << title << " ==\n";
         table.print(os);
     }
     return os.str();
+}
+
+namespace {
+
+/** The artifact's table over @p rows_per_block, rendered. */
+std::string
+renderRows(FigureId id,
+           const std::vector<std::vector<FigureRow>> &rows_per_block,
+           bool csv)
+{
+    const Artifact &a = artifact(id);
+    TextTable table(a.columns);
+    for (const std::vector<FigureRow> &rows : rows_per_block) {
+        for (const FigureRow &row : rows)
+            table.addRow(row);
+    }
+    return renderTable(a.title, table, csv);
 }
 
 } // namespace
@@ -446,8 +184,7 @@ std::string
 renderFigure(FigureId id, const FigureOptions &opt, bool csv,
              bool fig6_cholesky)
 {
-    FigureSweep sweep = buildFigure(id, opt, fig6_cholesky);
-    return renderTable(id, sweep.run(), csv);
+    return renderRows(id, buildFigure(id, opt, fig6_cholesky).run(), csv);
 }
 
 std::size_t
@@ -469,8 +206,11 @@ assembleFigure(FigureId id, const FigureOptions &opt,
                const std::vector<std::vector<FigureRow>> &rows_per_block,
                bool csv, bool fig6_cholesky)
 {
-    FigureSweep sweep = buildFigure(id, opt, fig6_cholesky);
-    return renderTable(id, sweep.assemble(rows_per_block), csv);
+    std::size_t blocks = figureBlockCount(id, opt, fig6_cholesky);
+    if (rows_per_block.size() != blocks)
+        panic("%s assembly expects %zu block row sets, got %zu",
+              figureName(id), blocks, rows_per_block.size());
+    return renderRows(id, rows_per_block, csv);
 }
 
 } // namespace ringsim::figures

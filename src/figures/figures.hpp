@@ -1,31 +1,43 @@
 /**
  * @file
- * The paper's figure sweeps as a library.
+ * Every artifact of the paper as a registered sweep.
  *
- * PR 1 made the figure benches declarative (register series and
- * validation points, run them as parallel jobs); this module hoists
- * that machinery — and the *definitions* of Figures 3, 4 and 6 —
- * out of bench/ so two front ends can execute the identical sweep:
+ * Each table, figure and ablation has the paper's Section 4.0 shape:
+ * calibrate a census per workload, fan out model or simulation
+ * points, and print rows in a fixed order. This module defines all of
+ * them (Tables 1-4, Figures 3-6, the ring, latency-tolerance and
+ * register-insertion ablations) in one registry, and every front end
+ * executes the identical sweep:
  *
- *  - the bench binaries (bench/fig3_snoop_vs_dir, ...) for direct
- *    command-line reproduction, and
- *  - the experiment service (src/service/), which receives a sweep
- *    request over a socket, executes it through this library, and
- *    memoizes the rendered output under a content-addressed key.
+ *  - the bench binaries (bench/artifact_main.cpp, built once per
+ *    artifact name) for direct command-line reproduction;
+ *  - the experiment service (src/service/), whose sweep job executes
+ *    an artifact through this library and memoizes the rendered
+ *    output under a content-addressed key;
+ *  - the fleet coordinator (src/fleet/), which splits a sweep into
+ *    its registered blocks across workers and reassembles them.
  *
- * Byte-identity between the two paths is by construction: both call
- * renderFigure() with the same FigureOptions, so the service can
- * legally serve a cached result where a direct run would recompute.
+ * Byte-identity between the paths is by construction: all of them
+ * call renderFigure() (or assembleFigure() over runFigureBlock()) with
+ * the same FigureOptions, so the service can legally serve a cached
+ * result where a direct run would recompute.
+ *
+ * A block is census-based (its rows are computed from the census of
+ * one workload), a timed simulation ("sim", skipped by the degraded
+ * model-only tier), or a pure computation. An artifact with both
+ * model and sim blocks has a model tier (figureHasModelTier()).
  *
  * Fault injection: a non-zero FigureOptions::faults is applied to the
- * *sim validation points* (the analytic-model series stay fault-free —
- * the model has no fault dimension). The all-zero default leaves every
- * figure byte-identical to builds without the fault subsystem.
+ * sim validation points of Figures 3, 4 and 6 (the analytic-model
+ * series stay fault-free — the model has no fault dimension). The
+ * all-zero default leaves every artifact byte-identical to builds
+ * without the fault subsystem.
  */
 
 #ifndef RINGSIM_FIGURES_FIGURES_HPP
 #define RINGSIM_FIGURES_FIGURES_HPP
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,13 +53,10 @@ namespace ringsim::figures {
 /** Processor cycle sweep of the figures, in ns (x axes, 1..20). */
 const std::vector<double> &cycleSweepNs();
 
-/** Columns of a figure table. */
-TextTable makeFigureTable();
-
-/** One rendered table row (the cells of makeFigureTable columns). */
+/** One rendered table row (the cells of the artifact's columns). */
 using FigureRow = std::vector<std::string>;
 
-/** Options one figure sweep runs under (a subset of bench flags). */
+/** Options one artifact sweep runs under (a subset of bench flags). */
 struct FigureOptions
 {
     Count refs = 120'000;       //!< data references per processor
@@ -57,133 +66,171 @@ struct FigureOptions
     fault::FaultConfig faults;  //!< applied to sim validation points
 
     /**
-     * Skip the timed sim validation points and emit the analytic
-     * model series only. This is the service's degraded answer tier:
-     * the model half of a figure costs milliseconds where the sim
-     * half costs seconds, at the paper's ~15% accuracy envelope.
+     * Skip the timed sim blocks and emit the rest only. This is the
+     * service's degraded answer tier: the model half of a figure
+     * costs milliseconds where the sim half costs seconds, at the
+     * paper's ~15% accuracy envelope.
      */
     bool modelOnly = false;
 
-    /** Apply refs/seed/fast to a workload preset. */
+    /**
+     * Apply refs/seed/fast to a workload preset: the one
+     * workload-sizing rule of every bench, sweep and service job.
+     */
     void apply(trace::WorkloadConfig &cfg) const;
 };
 
+/** A census function: the post-warm-up census of one workload. */
+using CensusFn = coherence::Census (*)(const trace::WorkloadConfig &);
+
 /**
- * Declarative figure sweep: register model series and sim validation
- * points, then run() them as parallel jobs.
+ * Declarative artifact sweep: register blocks, then run() them as
+ * parallel jobs — every distinct census first, then every block.
  */
 class FigureSweep
 {
   public:
+    /** Rows of one block from its census (null without a census). */
+    using RowsFn =
+        std::function<std::vector<FigureRow>(const coherence::Census *)>;
+
     explicit FigureSweep(const FigureOptions &opt) : opt_(opt) {}
 
-    /** Register the model-swept series of one ring configuration. */
-    void addRingSeries(const trace::WorkloadConfig &wl, Tick ring_period,
-                       model::RingProtocol protocol,
-                       const std::string &label);
-
-    /** Register the model-swept series of one bus configuration. */
-    void addBusSeries(const trace::WorkloadConfig &wl, Tick bus_period,
-                      const std::string &label);
-
-    /** Register the timed ring validation row (50 MIPS point). */
-    void addRingSimPoint(const trace::WorkloadConfig &wl,
-                         Tick ring_period, core::ProtocolKind kind,
-                         const std::string &label);
-
-    /** Register the timed bus validation row (50 MIPS point). */
-    void addBusSimPoint(const trace::WorkloadConfig &wl, Tick bus_period,
-                        const std::string &label);
+    const FigureOptions &options() const { return opt_; }
 
     /**
-     * Execute all registered blocks — calibrations first (one job per
-     * distinct workload), then every series/sim block as its own job —
-     * and return the assembled table. Uses opt.jobs workers.
+     * Register a block whose rows are computed from @p census's
+     * census of @p wl. Blocks naming the same (census, workload)
+     * share one census job in run().
      */
-    TextTable run() const;
+    void addCensusBlock(const trace::WorkloadConfig &wl, CensusFn census,
+                        RowsFn rows);
+
+    /**
+     * Register a block without a census: a timed simulation when
+     * @p sim (no rows under FigureOptions::modelOnly), else a pure
+     * computation.
+     */
+    void addBlock(bool sim, RowsFn rows);
+
+    /**
+     * Execute all registered blocks — census jobs first (one per
+     * distinct census), then every block as its own job — and return
+     * the rows of each block, in block order. Uses opt.jobs workers.
+     */
+    std::vector<std::vector<FigureRow>> run() const;
 
     /**
      * Number of registered blocks. The block index space is the unit
      * of fleet sweep sharding: a sweep job with part=i computes
-     * exactly runBlock(i), and assemble() of all parts reproduces
-     * run() byte-identically.
+     * exactly runBlock(i), and assembling all parts reproduces run()
+     * byte-identically.
      */
     std::size_t blockCount() const { return blocks_.size(); }
 
     /**
-     * Execute one registered block and return its rows. A series
-     * block computes its own calibration census (model::calibrate is
+     * Execute one registered block and return its rows. A census
+     * block computes its own census (the census functions are
      * deterministic, so a census recomputed on another worker yields
-     * the same rows as run()'s shared phase-1 census). Under
-     * opt.modelOnly a sim block returns no rows, mirroring run().
-     * Panics on an out-of-range index — callers validate against
-     * blockCount().
+     * the same rows as run()'s shared census). Under opt.modelOnly a
+     * sim block returns no rows, mirroring run(). Panics on an
+     * out-of-range index — callers validate against blockCount().
      */
     std::vector<FigureRow> runBlock(std::size_t index) const;
 
-    /**
-     * Assemble per-block row vectors (one entry per registered block,
-     * in block-index order) into the figure table. assemble() of
-     * runBlock(0..blockCount()-1) equals run() byte-for-byte, however
-     * the blocks were partitioned across workers.
-     */
-    TextTable
-    assemble(const std::vector<std::vector<FigureRow>> &rows_per_block)
-        const;
+    /** True when both sim and non-sim blocks are registered. */
+    bool hasModelTier() const;
 
   private:
-    enum class BlockKind { RingSeries, BusSeries, RingSim, BusSim };
+    static constexpr std::size_t kNoCensus = static_cast<std::size_t>(-1);
 
     struct Block
     {
-        BlockKind kind;
-        trace::WorkloadConfig wl;
-        Tick period = 0;
-        model::RingProtocol protocol = model::RingProtocol::Snoop;
-        core::ProtocolKind simKind = core::ProtocolKind::RingSnoop;
-        std::string label;
-        std::size_t censusSlot = 0; //!< calibration index (series only)
-        bool needsCensus = false;
+        RowsFn rows;
+        std::size_t census = kNoCensus; //!< calibrations_ slot
+        bool sim = false;
     };
 
-    std::size_t censusSlotFor(const trace::WorkloadConfig &wl);
+    struct Calibration
+    {
+        trace::WorkloadConfig wl;
+        CensusFn census;
+        std::string key;
+    };
 
-    static std::vector<FigureRow>
-    blockRows(const Block &block, const coherence::Census *census,
-              const fault::FaultConfig &faults, bool model_only);
+    std::vector<FigureRow> blockRows(const Block &block,
+                                     const coherence::Census *census) const;
 
     FigureOptions opt_;
     std::vector<Block> blocks_;
-    std::vector<trace::WorkloadConfig> calibrations_;
-    std::vector<std::string> calibrationKeys_;
+    std::vector<Calibration> calibrations_;
 };
 
-/** The figures this library can build. */
+/** The paper artifacts this library can build, in registry order. */
 enum class FigureId {
-    Fig3, //!< snooping vs directory, SPLASH 8/16/32
-    Fig4, //!< snooping vs directory, FFT/WEATHER/SIMPLE at 64
-    Fig6, //!< ring (250/500 MHz) vs bus (50/100 MHz)
+    Table1,                   //!< ring traversals per transaction
+    Table2,                   //!< trace characteristics
+    Table3,                   //!< snooping rate per directory bank
+    Table4,                   //!< bus clock matching ring utilization
+    Fig3,                     //!< snooping vs directory, SPLASH 8/16/32
+    Fig4,                     //!< snooping vs directory, 64 CPUs
+    Fig5,                     //!< directory remote-miss breakdown
+    Fig6,                     //!< ring (250/500 MHz) vs bus (50/100 MHz)
+    AblationRing,             //!< anti-starvation, link width, clock
+    AblationLatencyTolerance, //!< store buffers on ring vs bus
+    AblationInsertionRing,    //!< slotted vs register insertion
 };
 
-/** "fig3"-style wire name. */
+/** One registered artifact: how it is named, titled and built. */
+struct Artifact
+{
+    FigureId id;
+    const char *name;  //!< wire name ("table1", "fig3", ...)
+    const char *title; //!< title line of the emitted table
+    std::vector<std::string> columns;
+    /** Register the artifact's blocks (cholesky: Figure 6 only). */
+    void (*build)(FigureSweep &sweep, bool cholesky);
+};
+
+/** The registry entry of @p id. */
+const Artifact &artifact(FigureId id);
+
+/** Every registered artifact id, in registry order. */
+const std::vector<FigureId> &allFigures();
+
+/** Wire name of @p id ("table1", "fig3", "ablation_ring", ...). */
 const char *figureName(FigureId id);
 
 /**
- * Parse "fig3"/"fig4"/"fig6". Returns false (leaving @p out alone)
- * on an unknown name.
+ * Parse a wire name. Returns false (leaving @p out alone) on an
+ * unknown name.
  */
 [[nodiscard]] bool tryFigureFromName(const std::string &name,
                                      FigureId *out);
 
-/** Title line of the figure's emitted table. */
+/** Title line of the artifact's emitted table. */
 std::string figureTitle(FigureId id);
 
 /**
- * Build the registered sweep of @p id under @p opt. Fig6 optionally
- * includes CHOLESKY (the paper omits it for space).
+ * Build the registered sweep of @p id under @p opt. Figure 6
+ * optionally includes CHOLESKY (the paper omits it for space).
  */
 FigureSweep buildFigure(FigureId id, const FigureOptions &opt,
                         bool fig6_cholesky = false);
+
+/**
+ * Does @p id have a model tier — both model and sim blocks, so a
+ * model-only render is a cheaper, still meaningful answer? Decides
+ * which sweeps the service may degrade.
+ */
+bool figureHasModelTier(FigureId id);
+
+/**
+ * Render @p table the way every bench prints it: the title line plus
+ * the aligned table, or CSV when @p csv.
+ */
+std::string renderTable(const std::string &title, const TextTable &table,
+                        bool csv);
 
 /**
  * Execute @p id and render the complete bench output (title line plus

@@ -310,14 +310,9 @@ FleetCore::splitSweep(const util::JsonValue &job,
         return degradeOrFail(spec, id, e.what());
     }
 
-    figures::FigureOptions opt;
-    opt.refs = spec.refs;
-    opt.seed = spec.seed;
-    opt.fast = spec.fast;
-    opt.faults = spec.faults;
-    std::string text =
-        figures::assembleFigure(spec.figure, opt, rows_per_block,
-                                spec.csv, spec.fig6Cholesky);
+    std::string text = figures::assembleFigure(
+        spec.figure, spec.figureOptions(), rows_per_block, spec.csv,
+        spec.fig6Cholesky);
 
     {
         core::MutexLock lock(mutex_);

@@ -206,8 +206,12 @@ JobSpec::tryParse(const util::JsonValue &json, bool allow_test_jobs,
     if (spec.kind == JobKind::Sweep) {
         std::string fig = json.getString("figure", "", &errors);
         if (!figures::tryFigureFromName(fig, &spec.figure)) {
-            *error = "figure = '" + fig +
-                     "': expected fig3, fig4 or fig6";
+            *error = "figure = '" + fig + "': expected one of ";
+            for (figures::FigureId id : figures::allFigures()) {
+                if (id != figures::allFigures().front())
+                    *error += ", ";
+                *error += figures::figureName(id);
+            }
             return false;
         }
         spec.csv = json.getBool("csv", false, &errors);
@@ -362,6 +366,25 @@ JobSpec::canonical() const
     return o;
 }
 
+bool
+JobSpec::degradable() const
+{
+    if (kind == JobKind::Sweep)
+        return sweepPart < 0 && figures::figureHasModelTier(figure);
+    return kind == JobKind::Run || kind == JobKind::Model;
+}
+
+figures::FigureOptions
+JobSpec::figureOptions() const
+{
+    figures::FigureOptions opt;
+    opt.refs = refs;
+    opt.seed = seed;
+    opt.fast = fast;
+    opt.faults = faults;
+    return opt;
+}
+
 std::string
 JobSpec::describe() const
 {
@@ -396,8 +419,7 @@ workloadFor(const JobSpec &spec)
 {
     trace::WorkloadConfig wl =
         trace::workloadPreset(spec.benchmark, spec.procs);
-    wl.dataRefsPerProc = spec.fast ? spec.refs / 4 : spec.refs;
-    wl.seed = spec.seed;
+    spec.figureOptions().apply(wl);
     return wl;
 }
 
@@ -493,12 +515,8 @@ executeModel(const JobSpec &spec)
 util::JsonValue
 executeSweep(const JobSpec &spec, unsigned sweep_jobs)
 {
-    figures::FigureOptions opt;
-    opt.refs = spec.refs;
-    opt.seed = spec.seed;
-    opt.fast = spec.fast;
+    figures::FigureOptions opt = spec.figureOptions();
     opt.jobs = sweep_jobs;
-    opt.faults = spec.faults;
     if (spec.sweepPart >= 0) {
         // One block of the figure: the rows travel back as strings so
         // the coordinator's reassembly is a pure concatenation — no
@@ -612,12 +630,8 @@ executeDegraded(const JobSpec &spec, unsigned sweep_jobs)
         if (spec.sweepPart >= 0)
             throw std::runtime_error(
                 "sweep parts have no degraded tier");
-        figures::FigureOptions opt;
-        opt.refs = spec.refs;
-        opt.seed = spec.seed;
-        opt.fast = spec.fast;
+        figures::FigureOptions opt = spec.figureOptions();
         opt.jobs = sweep_jobs;
-        opt.faults = spec.faults;
         opt.modelOnly = true;
         std::string text = figures::renderFigure(
             spec.figure, opt, spec.csv, spec.fig6Cholesky);

@@ -7,9 +7,10 @@
  *
  *   run    one timed simulation (ring snoop/directory or bus) of one
  *          workload — returns the RunResult fields;
- *   sweep  one full figure reproduction (fig3/fig4/fig6) — returns
- *          the rendered bench output, byte-identical to the bench
- *          binary's stdout;
+ *   sweep  one registered paper artifact (table1..table4,
+ *          fig3..fig6, the ablations; see figures::allFigures) —
+ *          returns the rendered bench output, byte-identical to the
+ *          bench binary's stdout;
  *   model  one analytic-model solve (calibration census + ring or bus
  *          queueing model at one processor cycle time);
  *   verify one exhaustive protocol model-check configuration;
@@ -129,15 +130,18 @@ struct JobSpec
     /**
      * True for job kinds the analytic model can stand in for: a run
      * degrades to the queueing-model solve of the same
-     * configuration, a sweep to its model series (sim validation
-     * rows omitted), a model job to itself (executed inline).
+     * configuration, a whole sweep of an artifact with a model tier
+     * (figures::figureHasModelTier: Figures 3, 4 and 6) to its model
+     * series (sim validation rows omitted), a model job to itself
+     * (executed inline).
      */
-    bool degradable() const
-    {
-        if (kind == JobKind::Sweep)
-            return sweepPart < 0;
-        return kind == JobKind::Run || kind == JobKind::Model;
-    }
+    bool degradable() const;
+
+    /**
+     * The sweep options of this spec's workload knobs (refs, seed,
+     * fast, faults): the one sizing rule of every job kind.
+     */
+    figures::FigureOptions figureOptions() const;
 
     /** One-line human description (logs, statsz). */
     std::string describe() const;

@@ -103,6 +103,39 @@ TEST(JobParse, SweepNamesFigure)
         << error;
     EXPECT_EQ(spec.figure, figures::FigureId::Fig6);
     EXPECT_TRUE(spec.fig6Cholesky);
+
+    // Every registered artifact is a sweep the service accepts.
+    for (figures::FigureId id : figures::allFigures()) {
+        std::string name = figures::figureName(id);
+        ASSERT_TRUE(tryParseJob("{\"type\":\"sweep\",\"figure\":\"" +
+                                    name + "\"}",
+                                &spec, &error))
+            << name << ": " << error;
+        EXPECT_EQ(spec.figure, id) << name;
+    }
+}
+
+TEST(JobParse, SweepDegradesOnlyWithModelTier)
+{
+    // Figures 3, 4 and 6 have model series and sim points, so the
+    // model tier stands in for them; the tables and ablations have no
+    // cheaper answer.
+    JobSpec spec;
+    std::string error;
+    for (figures::FigureId id : figures::allFigures()) {
+        std::string name = figures::figureName(id);
+        ASSERT_TRUE(tryParseJob("{\"type\":\"sweep\",\"figure\":\"" +
+                                    name + "\"}",
+                                &spec, &error))
+            << error;
+        bool expected = name == "fig3" || name == "fig4" || name == "fig6";
+        EXPECT_EQ(spec.degradable(), expected) << name;
+    }
+    ASSERT_TRUE(tryParseJob(
+        "{\"type\":\"sweep\",\"figure\":\"fig4\",\"part\":1}", &spec,
+        &error))
+        << error;
+    EXPECT_FALSE(spec.degradable());
 }
 
 TEST(JobParse, SweepUnknownFigureRejected)
@@ -112,6 +145,10 @@ TEST(JobParse, SweepUnknownFigureRejected)
     EXPECT_FALSE(tryParseJob(
         "{\"type\":\"sweep\",\"figure\":\"fig9\"}", &spec, &error));
     EXPECT_NE(error.find("figure = 'fig9'"), std::string::npos)
+        << error;
+    // The diagnostic lists the registry's names.
+    EXPECT_NE(error.find("table1"), std::string::npos) << error;
+    EXPECT_NE(error.find("ablation_insertion_ring"), std::string::npos)
         << error;
 }
 
@@ -174,6 +211,59 @@ TEST(JobCanonical, ResultAffectingFieldsChangeTheSpec)
         &error));
     EXPECT_NE(a.canonical().dump(), b.canonical().dump());
     EXPECT_NE(a.canonical().dump(), c.canonical().dump());
+}
+
+TEST(JobCanonical, FigureSweepKeysArePinned)
+{
+    // The canonical strings of the fig3/fig4/fig6 sweep jobs are cache
+    // keys: a byte of drift here invalidates every warm cache.
+    const char *const faults_default =
+        "\"faults\":{\"corrupt_rate\":0,\"drop_rate\":0,\"stall_rate\":0,"
+        "\"stall_cycles\":4,\"seed\":1,\"max_faults\":0,"
+        "\"max_retries\":8,\"retry_timeout\":0,\"backoff_base\":0}}";
+    const struct
+    {
+        const char *job;
+        std::string canonical;
+    } cases[] = {
+        {"{\"type\":\"sweep\",\"figure\":\"fig3\"}",
+         std::string("{\"type\":\"sweep\",\"figure\":\"fig3\","
+                     "\"csv\":false,\"cholesky\":false,\"refs\":120000,"
+                     "\"seed\":12345,\"fast\":false,") +
+             faults_default},
+        {"{\"type\":\"sweep\",\"figure\":\"fig4\",\"fast\":true,"
+         "\"refs\":60000}",
+         std::string("{\"type\":\"sweep\",\"figure\":\"fig4\","
+                     "\"csv\":false,\"cholesky\":false,\"refs\":60000,"
+                     "\"seed\":12345,\"fast\":true,") +
+             faults_default},
+        {"{\"type\":\"sweep\",\"figure\":\"fig6\",\"cholesky\":true,"
+         "\"csv\":true}",
+         std::string("{\"type\":\"sweep\",\"figure\":\"fig6\","
+                     "\"csv\":true,\"cholesky\":true,\"refs\":120000,"
+                     "\"seed\":12345,\"fast\":false,") +
+             faults_default},
+        {"{\"type\":\"sweep\",\"figure\":\"fig6\",\"part\":3}",
+         std::string("{\"type\":\"sweep\",\"figure\":\"fig6\","
+                     "\"csv\":false,\"cholesky\":false,\"part\":3,"
+                     "\"refs\":120000,\"seed\":12345,\"fast\":false,") +
+             faults_default},
+        {"{\"type\":\"sweep\",\"figure\":\"fig3\",\"refs\":600,"
+         "\"fast\":true,\"faults\":{\"corrupt_rate\":0.001,"
+         "\"drop_rate\":0.001,\"seed\":7}}",
+         "{\"type\":\"sweep\",\"figure\":\"fig3\",\"csv\":false,"
+         "\"cholesky\":false,\"refs\":600,\"seed\":12345,\"fast\":true,"
+         "\"faults\":{\"corrupt_rate\":0.001,\"drop_rate\":0.001,"
+         "\"stall_rate\":0,\"stall_cycles\":4,\"seed\":7,"
+         "\"max_faults\":0,\"max_retries\":8,\"retry_timeout\":0,"
+         "\"backoff_base\":0}}"},
+    };
+    for (const auto &c : cases) {
+        JobSpec spec;
+        std::string error;
+        ASSERT_TRUE(tryParseJob(c.job, &spec, &error)) << error;
+        EXPECT_EQ(spec.canonical().dump(), c.canonical) << c.job;
+    }
 }
 
 TEST(JobCanonical, KindsAreDisjoint)
