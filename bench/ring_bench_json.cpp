@@ -5,9 +5,13 @@
  * Runs the ring-tick microbenchmarks (this binary links only
  * ring_ticks.cpp, so no filter is needed) and writes a flat JSON map
  * of benchmark name → items_per_second to BENCH_ring.json (or the
- * path given as the first argument). The CI perf-smoke job regenerates
- * the file and runs scripts/perf_smoke.py against the committed copy;
- * the JSON artifact is uploaded either way.
+ * path given as the first argument). With --benchmark_repetitions=N
+ * each name records the median of its N repetitions, so one noisy
+ * sample does not move the trajectory. The CI perf-smoke job
+ * regenerates the file that way and runs scripts/perf_smoke.py against
+ * the committed copy; the JSON artifact is uploaded either way.
+ *
+ *   ring_bench_json --benchmark_repetitions=5 BENCH_ring.json
  */
 
 #include <benchmark/benchmark.h>
@@ -20,7 +24,11 @@
 
 namespace {
 
-/** Console output for humans, plus a name → rate capture for JSON. */
+/**
+ * Console output for humans, plus a name → rate capture for JSON. A
+ * benchmark's median aggregate is reported after its repetitions and
+ * overwrites them under the unsuffixed name.
+ */
 class RateCapturingReporter : public benchmark::ConsoleReporter
 {
   public:
@@ -29,12 +37,14 @@ class RateCapturingReporter : public benchmark::ConsoleReporter
     void ReportRuns(const std::vector<Run> &runs) override
     {
         for (const Run &run : runs) {
-            if (run.run_type != Run::RT_Iteration ||
+            bool median = run.run_type == Run::RT_Aggregate &&
+                          run.aggregate_name == "median";
+            if ((run.run_type != Run::RT_Iteration && !median) ||
                 run.error_occurred)
                 continue;
             auto it = run.counters.find("items_per_second");
             if (it != run.counters.end())
-                rates[run.benchmark_name()] = it->second.value;
+                rates[run.run_name.str()] = it->second.value;
         }
         ConsoleReporter::ReportRuns(runs);
     }

@@ -39,14 +39,14 @@ namespace {
 
 /**
  * One client object registered for every node — the same uniform
- * registration the protocol engines use, so the ring batch-dispatches
- * whole rotations through onVisits. Node 0 first fills the ring to
- * the requested occupancy with circulating messages, addressed round
- * robin to every node and never removed; every visit thereafter is a
- * pure reaction. Each filler names its destination as its remover, so
- * the schedule-driven path dispatches every occupied slot once per
- * rotation, at that node: the ref:0 rows time the gather plus the
- * addressed dispatch, as a protocol's directed messages exercise it.
+ * registration the protocol engines use. Node 0 first fills the ring
+ * to the requested occupancy with circulating messages, addressed
+ * round robin to every node and never removed; every visit thereafter
+ * is a pure reaction. Each filler names its destination as its
+ * remover, so the schedule-driven path dispatches every occupied slot
+ * once per rotation, at that node: the ref:0 rows time the schedule
+ * walk plus the addressed dispatch, as a protocol's directed messages
+ * exercise it.
  */
 class UniformTickClient : public ring::RingClient
 {
@@ -55,34 +55,7 @@ class UniformTickClient : public ring::RingClient
     unsigned target = 0;
     unsigned placed = 0;
 
-    void onSlot(ring::SlotHandle &slot) override { visit(slot); }
-
-    void onVisits(ring::SlotRing &ring_net, const ring::SlotVisit *v,
-                  const ring::SlotVisit *end) override
-    {
-        // Mirrors RingProtocolBase::onVisits: one virtual call per
-        // rotation, non-virtual per-visit bodies.
-        if (placed < target) {
-            for (; v != end; ++v) {
-                ring::SlotHandle handle = ring_net.visitHandle(*v);
-                visit(handle);
-            }
-            return;
-        }
-        // Steady state: every visit is a reaction to an occupied slot.
-        // Touch each handle but fence the optimizer once per batch,
-        // not per visit — the object of measurement is the ring's
-        // dispatch, not a per-visit asm barrier.
-        unsigned seen = 0;
-        for (; v != end; ++v) {
-            ring::SlotHandle handle = ring_net.visitHandle(*v);
-            seen += handle.occupied() ? 1u : 0u;
-        }
-        benchmark::DoNotOptimize(seen);
-    }
-
-  private:
-    void visit(ring::SlotHandle &slot)
+    void onSlot(ring::SlotHandle &slot) override
     {
         if (slot.occupied()) {
             bool occupied = true;

@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "model/calibration.hpp"
+#include "coherence/driver.hpp"
 #include "model/matcher.hpp"
 #include "util/table.hpp"
 
@@ -35,7 +35,7 @@ main(int argc, char **argv)
     trace::WorkloadConfig workload =
         trace::workloadPreset(bench, procs);
     workload.dataRefsPerProc = 60'000;
-    coherence::Census census = model::calibrate(workload);
+    coherence::Census census = coherence::runFunctional(workload);
     Tick cycle = nsToTicks(1e3 / mips);
 
     std::cout << "Workload " << workload.displayName() << " at " << mips

@@ -55,11 +55,6 @@ struct ProtocolCensus
     Count remoteMisses() const {
         return missTraversals[1] + missTraversals[2] + missTraversals[3];
     }
-
-    /** Invalidations that used the ring. */
-    Count remoteInvalidations() const {
-        return invTraversals[1] + invTraversals[2] + invTraversals[3];
-    }
 };
 
 /** The full census of one workload run. */
@@ -102,11 +97,6 @@ struct Census
     double sharedMissRate() const {
         Count s = sharedRefs();
         return s ? static_cast<double>(sharedMisses) / s : 0.0;
-    }
-
-    double privateMissRate() const {
-        Count p = privateRefs();
-        return p ? static_cast<double>(privateMisses) / p : 0.0;
     }
 
     double privateWriteFrac() const {

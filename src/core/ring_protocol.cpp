@@ -20,9 +20,8 @@ RingProtocolBase::RingProtocolBase(sim::Kernel &kernel,
     queuedMsgs_.assign(nodes_, 0);
     bankFreeAt_.assign(nodes_, 0);
     for (NodeId n = 0; n < nodes_; ++n) {
-        // One object for every node: the ring detects the uniform
-        // registration and batch-dispatches whole rotations through
-        // onVisits instead of one virtual call per visit.
+        // One object for every node; onSlot reads the visited node
+        // from the handle.
         ring_.setClient(n, *this);
         // A visit on an empty slot with empty queues does nothing, and
         // an occupied slot is acted on only at its message's remover
@@ -313,23 +312,7 @@ RingProtocolBase::discardCorrupt(NodeId n, ring::SlotHandle &slot)
 void
 RingProtocolBase::onSlot(ring::SlotHandle &slot)
 {
-    visitSlot(slot.node(), slot);
-}
-
-void
-RingProtocolBase::onVisits(ring::SlotRing &ring_net,
-                           const ring::SlotVisit *begin,
-                           const ring::SlotVisit *end)
-{
-    for (const ring::SlotVisit *v = begin; v != end; ++v) {
-        ring::SlotHandle handle = ring_net.visitHandle(*v);
-        visitSlot(v->node, handle);
-    }
-}
-
-void
-RingProtocolBase::visitSlot(NodeId n, ring::SlotHandle &slot)
-{
+    NodeId n = slot.node();
     if (slot.occupied() && slot.corrupted()) {
         discardCorrupt(n, slot);
     } else if (slot.occupied()) {

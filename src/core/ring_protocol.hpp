@@ -45,15 +45,15 @@ enum RingMsgKind : std::uint32_t {
 /**
  * Base class of the timed ring protocols.
  *
- * The protocol itself is the ring client for every node: one object
- * registered uniformly lets the ring hand it a whole rotation's live
- * visits in a single onVisits() call (no per-node trampoline, no
- * per-visit virtual hop). A visit on an empty slot with nothing queued
- * is a pure no-op (no state change, no statistics), and so is a visit
- * on an uncorrupted occupied slot at a node its message does not name
- * (neither remover nor tap, see ring::RingMessage). The constructor
- * therefore opts every node into the ring's idle skipping;
- * enqueue()/tryInsert() keep the pending flags honest.
+ * The protocol itself is the ring client for every node: the ring
+ * calls onSlot() once per live visit, and the handle names the node
+ * being visited (no per-node trampoline). A visit on an empty slot
+ * with nothing queued is a pure no-op (no state change, no
+ * statistics), and so is a visit on an uncorrupted occupied slot at a
+ * node its message does not name (neither remover nor tap, see
+ * ring::RingMessage). The constructor therefore opts every node into
+ * the ring's idle skipping; enqueue()/tryInsert() keep the pending
+ * flags honest.
  */
 class RingProtocolBase : public Protocol, public ring::RingClient
 {
@@ -73,20 +73,13 @@ class RingProtocolBase : public Protocol, public ring::RingClient
     void startTransaction(NodeId p, const trace::TraceRecord &ref,
                           std::function<void()> on_complete) override;
 
-    /** A slot header reached the interface of slot.node(). */
-    void onSlot(ring::SlotHandle &slot) override;
-
     /**
-     * One rotation's live visits, batch-dispatched by the ring.
-     * Honors the onVisits contract: each visit only touches the
-     * visited node's slot, queues and pending flags synchronously;
-     * cross-node protocol steps are posted as kernel events.
+     * A slot header reached the interface of slot.node(). Honors the
+     * RingClient::onSlot contract: a visit only touches the visited
+     * node's slot, queues and pending flags synchronously; cross-node
+     * protocol steps are posted as kernel events.
      */
-    void onVisits(ring::SlotRing &ring_net, const ring::SlotVisit *begin,
-                  const ring::SlotVisit *end) override;
-
-    /** Outstanding transactions (tests/assertions). */
-    size_t inFlight() const { return txns_.size(); }
+    void onSlot(ring::SlotHandle &slot) override;
 
     /**
      * Enable fault recovery: NACK handling, per-transaction retry
@@ -192,9 +185,6 @@ class RingProtocolBase : public Protocol, public ring::RingClient
      */
     Txn *requireTxn(std::uint64_t tag, const char *what);
 
-    /** True when fault recovery is active. */
-    bool recoveryEnabled() const { return recovery_; }
-
     sim::Kernel &kernel_;
     SystemConfig config_;
     coherence::FunctionalEngine &engine_;
@@ -209,8 +199,6 @@ class RingProtocolBase : public Protocol, public ring::RingClient
         Tick enqueued;
     };
 
-    /** The per-visit protocol step (shared by onSlot and onVisits). */
-    void visitSlot(NodeId n, ring::SlotHandle &slot);
     void tryInsert(NodeId n, ring::SlotHandle &slot);
 
     /** Discard a corrupt message at node @p n; NACK its sender. */

@@ -118,27 +118,6 @@ struct Harness
 
 } // namespace
 
-double
-RunResult::cleanMiss1Frac() const
-{
-    Count remote = cleanMiss1 + dirtyMiss1 + miss2;
-    return remote ? static_cast<double>(cleanMiss1) / remote : 0.0;
-}
-
-double
-RunResult::dirtyMiss1Frac() const
-{
-    Count remote = cleanMiss1 + dirtyMiss1 + miss2;
-    return remote ? static_cast<double>(dirtyMiss1) / remote : 0.0;
-}
-
-double
-RunResult::miss2Frac() const
-{
-    Count remote = cleanMiss1 + dirtyMiss1 + miss2;
-    return remote ? static_cast<double>(miss2) / remote : 0.0;
-}
-
 RunResult
 runRingSystem(const RingSystemConfig &config,
               const trace::WorkloadConfig &workload, ProtocolKind kind)

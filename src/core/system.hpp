@@ -70,11 +70,6 @@ struct RunResult
     Count fatalTxns = 0;      //!< transactions that exhausted retries
     Count nacks = 0;          //!< NACKs sent for corrupt messages
     Count timeouts = 0;       //!< watchdog expirations
-
-    /** Fraction of remote misses in class (clean1, dirty1, two). */
-    double cleanMiss1Frac() const;
-    double dirtyMiss1Frac() const;
-    double miss2Frac() const;
 };
 
 /**

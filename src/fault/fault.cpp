@@ -18,20 +18,6 @@ mix(std::uint64_t z)
 
 } // namespace
 
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::Corrupt:
-        return "corrupt";
-      case FaultKind::Drop:
-        return "drop";
-      case FaultKind::Stall:
-        return "stall";
-    }
-    return "?";
-}
-
 std::vector<std::string>
 FaultConfig::check() const
 {
@@ -80,27 +66,6 @@ FaultPlan::decide(FaultKind kind, Count cycle, unsigned slot,
     // Top 53 bits -> uniform double in [0, 1).
     double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     return u < rate;
-}
-
-void
-FaultStats::recordTo(stats::Registry &reg,
-                     const std::string &prefix) const
-{
-    auto rec = [&](const char *name, const stats::Counter &c) {
-        reg.record(prefix + "." + name,
-                   static_cast<double>(c.value()));
-    };
-    rec("corrupted", corrupted);
-    rec("dropped", dropped);
-    rec("stall_events", stallEvents);
-    rec("stall_cycles", stallCycles);
-    rec("nacks", nacks);
-    rec("timeouts", timeouts);
-    rec("retries", retries);
-    rec("recovered", recovered);
-    rec("fatals", fatals);
-    rec("stale_events", staleEvents);
-    rec("lost_writebacks", lostWritebacks);
 }
 
 FaultInjector::FaultInjector(const FaultConfig &config)

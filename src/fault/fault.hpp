@@ -40,9 +40,6 @@ enum class FaultKind : unsigned {
     Stall,   //!< transient whole-ring pipeline stall
 };
 
-/** Printable fault-kind name. */
-const char *faultKindName(FaultKind k);
-
 /** Fault-injection and recovery parameters of one run. */
 struct FaultConfig
 {
@@ -122,9 +119,6 @@ struct FaultStats
     stats::Counter fatals;       //!< transactions that exhausted retries
     stats::Counter staleEvents;  //!< late events from superseded attempts
     stats::Counter lostWritebacks; //!< traffic-only messages lost
-
-    /** Append every counter to @p reg as "<prefix>.<name>". */
-    void recordTo(stats::Registry &reg, const std::string &prefix) const;
 };
 
 /**

@@ -18,24 +18,6 @@ mix(std::uint64_t z)
 
 } // namespace
 
-const char *
-serviceFaultKindName(ServiceFaultKind k)
-{
-    switch (k) {
-      case ServiceFaultKind::SlowWrite:
-        return "slow_write";
-      case ServiceFaultKind::Disconnect:
-        return "disconnect";
-      case ServiceFaultKind::Garble:
-        return "garble";
-      case ServiceFaultKind::TornWrite:
-        return "torn_write";
-      case ServiceFaultKind::BitFlip:
-        return "bit_flip";
-    }
-    return "?";
-}
-
 ServiceFaultConfig
 ServiceFaultConfig::chaosPreset(std::uint64_t seed)
 {

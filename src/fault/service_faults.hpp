@@ -50,9 +50,6 @@ enum class ServiceFaultKind : unsigned {
     BitFlip,    //!< disk-cache entry byte flipped after publish
 };
 
-/** Printable service-fault-kind name. */
-const char *serviceFaultKindName(ServiceFaultKind k);
-
 /** Fault-injection parameters of one daemon instance. */
 struct ServiceFaultConfig
 {

@@ -8,7 +8,6 @@
 
 #include <array>
 
-#include "coherence/driver.hpp"
 #include "figures.hpp"
 #include "model/insertion_model.hpp"
 #include "model/matcher.hpp"
@@ -28,23 +27,6 @@ pct(Count n, Count total)
     return total ? 100.0 * static_cast<double>(n) /
                        static_cast<double>(total)
                  : 0.0;
-}
-
-// Each artifact keeps its own census function; blocks share a census
-// only when they name the same function and workload.
-
-/** model::calibrate at its default warm-up. */
-Census
-calibrationCensus(const trace::WorkloadConfig &wl)
-{
-    return model::calibrate(wl);
-}
-
-/** coherence::runFunctional at its default driver options. */
-Census
-functionalCensus(const trace::WorkloadConfig &wl)
-{
-    return coherence::runFunctional(wl);
 }
 
 trace::WorkloadConfig
@@ -122,10 +104,9 @@ buildTable1(FigureSweep &sweep, bool)
 {
     for (const Table1Paper &paper : table1Paper) {
         trace::WorkloadConfig wl = preset(sweep, paper.benchmark, 16);
-        sweep.addCensusBlock(wl, functionalCensus,
-                             [wl, &paper](const Census *c) {
-                                 return table1Rows(wl, paper, *c);
-                             });
+        sweep.addCensusBlock(wl, [wl, &paper](const Census *c) {
+            return table1Rows(wl, paper, *c);
+        });
     }
 }
 
@@ -164,8 +145,7 @@ buildTable2(FigureSweep &sweep, bool)
     for (trace::WorkloadConfig wl : trace::allWorkloadPresets()) {
         sweep.options().apply(wl);
         sweep.addCensusBlock(
-            wl, functionalCensus,
-            [wl](const Census *c) { return table2Rows(wl, *c); });
+            wl, [wl](const Census *c) { return table2Rows(wl, *c); });
     }
 }
 
@@ -284,10 +264,9 @@ buildTable4(FigureSweep &sweep, bool)
     for (const Table4Paper &paper : table4Paper) {
         trace::WorkloadConfig wl =
             preset(sweep, paper.benchmark, paper.procs);
-        sweep.addCensusBlock(wl, calibrationCensus,
-                             [wl, &paper](const Census *c) {
-                                 return table4Rows(wl, paper, *c);
-                             });
+        sweep.addCensusBlock(wl, [wl, &paper](const Census *c) {
+            return table4Rows(wl, paper, *c);
+        });
     }
 }
 
@@ -309,7 +288,7 @@ addRingSeries(FigureSweep &sweep, const trace::WorkloadConfig &wl,
               Tick ring_period, model::RingProtocol protocol,
               const std::string &label)
 {
-    sweep.addCensusBlock(wl, calibrationCensus, [=](const Census *c) {
+    sweep.addCensusBlock(wl, [=](const Census *c) {
         Rows rows;
         for (double cycle_ns : cycleSweepNs()) {
             model::RingModelInput in;
@@ -334,7 +313,7 @@ void
 addBusSeries(FigureSweep &sweep, const trace::WorkloadConfig &wl,
              Tick bus_period, const std::string &label)
 {
-    sweep.addCensusBlock(wl, calibrationCensus, [=](const Census *c) {
+    sweep.addCensusBlock(wl, [=](const Census *c) {
         Rows rows;
         for (double cycle_ns : cycleSweepNs()) {
             model::BusModelInput in;
@@ -472,7 +451,7 @@ buildFig5(FigureSweep &sweep, bool)
 {
     for (trace::WorkloadConfig wl : trace::allWorkloadPresets()) {
         sweep.options().apply(wl);
-        sweep.addCensusBlock(wl, functionalCensus, [wl](const Census *c) {
+        sweep.addCensusBlock(wl, [wl](const Census *c) {
             const coherence::ProtocolCensus &full = c->fullMap;
             Count remote = full.cleanMiss1 + full.dirtyMiss1 + full.miss2;
             return Rows{{wl.displayName(),
@@ -624,31 +603,30 @@ buildAblationInsertionRing(FigureSweep &sweep, bool)
          {trace::Benchmark::MP3D, trace::Benchmark::WATER}) {
         for (unsigned procs : {16u, 32u}) {
             trace::WorkloadConfig wl = preset(sweep, b, procs);
-            sweep.addCensusBlock(
-                wl, calibrationCensus, [wl](const Census *c) {
-                    Rows rows;
-                    for (double mips : {50.0, 200.0, 1000.0}) {
-                        model::RingModelInput in;
-                        in.census = *c;
-                        in.ring =
-                            core::RingSystemConfig::forProcs(wl.procs)
-                                .ring;
-                        in.system.procCycle = nsToTicks(1e3 / mips);
-                        in.protocol = model::RingProtocol::Directory;
+            sweep.addCensusBlock(wl, [wl](const Census *c) {
+                Rows rows;
+                for (double mips : {50.0, 200.0, 1000.0}) {
+                    model::RingModelInput in;
+                    in.census = *c;
+                    in.ring =
+                        core::RingSystemConfig::forProcs(wl.procs)
+                            .ring;
+                    in.system.procCycle = nsToTicks(1e3 / mips);
+                    in.protocol = model::RingProtocol::Directory;
 
-                        model::ModelResult slotted = model::solveRing(in);
-                        model::ModelResult inserted =
-                            model::solveInsertionRing(in);
+                    model::ModelResult slotted = model::solveRing(in);
+                    model::ModelResult inserted =
+                        model::solveInsertionRing(in);
 
-                        rows.push_back(
-                            {wl.displayName(), fmtDouble(mips, 0),
-                             fmtDouble(slotted.missLatencyNs, 0),
-                             fmtDouble(inserted.missLatencyNs, 0),
-                             fmtPercent(slotted.networkUtilization, 1),
-                             fmtPercent(inserted.networkUtilization, 1)});
-                    }
-                    return rows;
-                });
+                    rows.push_back(
+                        {wl.displayName(), fmtDouble(mips, 0),
+                         fmtDouble(slotted.missLatencyNs, 0),
+                         fmtDouble(inserted.missLatencyNs, 0),
+                         fmtPercent(slotted.networkUtilization, 1),
+                         fmtPercent(inserted.networkUtilization, 1)});
+                }
+                return rows;
+            });
         }
     }
 }

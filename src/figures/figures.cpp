@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "coherence/driver.hpp"
 #include "runner/experiment_runner.hpp"
 #include "util/logging.hpp"
 
@@ -23,18 +24,15 @@ FigureOptions::apply(trace::WorkloadConfig &cfg) const
 }
 
 void
-FigureSweep::addCensusBlock(const trace::WorkloadConfig &wl,
-                            CensusFn census, RowsFn rows)
+FigureSweep::addCensusBlock(const trace::WorkloadConfig &wl, RowsFn rows)
 {
     std::string key = wl.displayName() + "/" + std::to_string(wl.seed) +
                       "/" + std::to_string(wl.dataRefsPerProc);
     std::size_t slot = 0;
-    while (slot < calibrations_.size() &&
-           (calibrations_[slot].census != census ||
-            calibrations_[slot].key != key))
+    while (slot < calibrations_.size() && calibrations_[slot].key != key)
         ++slot;
     if (slot == calibrations_.size())
-        calibrations_.push_back({wl, census, std::move(key)});
+        calibrations_.push_back({wl, std::move(key)});
     blocks_.push_back({std::move(rows), slot, false});
 }
 
@@ -58,14 +56,15 @@ FigureSweep::blockRows(const Block &block,
 std::vector<std::vector<FigureRow>>
 FigureSweep::run() const
 {
-    // Phase 1: one census job per distinct (census, workload). Blocks
+    // Phase 1: one census job per distinct workload. Blocks
     // without a census are not held up by this phase in principle; in
     // practice censuses are the cheaper half and the two-phase
     // structure keeps result wiring trivial.
     std::vector<std::function<coherence::Census()>> census_tasks;
     census_tasks.reserve(calibrations_.size());
     for (const Calibration &c : calibrations_)
-        census_tasks.push_back([&c]() { return c.census(c.wl); });
+        census_tasks.push_back(
+            [&c]() { return coherence::runFunctional(c.wl); });
     std::vector<coherence::Census> censuses =
         runner::runAll(std::move(census_tasks), opt_.jobs);
 
@@ -94,7 +93,7 @@ FigureSweep::runBlock(std::size_t index) const
     if (block.census == kNoCensus)
         return blockRows(block, nullptr);
     const Calibration &c = calibrations_[block.census];
-    coherence::Census census = c.census(c.wl);
+    coherence::Census census = coherence::runFunctional(c.wl);
     return blockRows(block, &census);
 }
 

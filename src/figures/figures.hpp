@@ -44,7 +44,7 @@
 #include "core/system.hpp"
 #include "fault/fault.hpp"
 #include "model/bus_model.hpp"
-#include "model/calibration.hpp"
+#include "coherence/census.hpp"
 #include "model/ring_model.hpp"
 #include "util/table.hpp"
 
@@ -80,9 +80,6 @@ struct FigureOptions
     void apply(trace::WorkloadConfig &cfg) const;
 };
 
-/** A census function: the post-warm-up census of one workload. */
-using CensusFn = coherence::Census (*)(const trace::WorkloadConfig &);
-
 /**
  * Declarative artifact sweep: register blocks, then run() them as
  * parallel jobs — every distinct census first, then every block.
@@ -99,12 +96,11 @@ class FigureSweep
     const FigureOptions &options() const { return opt_; }
 
     /**
-     * Register a block whose rows are computed from @p census's
-     * census of @p wl. Blocks naming the same (census, workload)
-     * share one census job in run().
+     * Register a block whose rows are computed from the census of
+     * @p wl (coherence::runFunctional). Blocks naming the same
+     * workload share one census job in run().
      */
-    void addCensusBlock(const trace::WorkloadConfig &wl, CensusFn census,
-                        RowsFn rows);
+    void addCensusBlock(const trace::WorkloadConfig &wl, RowsFn rows);
 
     /**
      * Register a block without a census: a timed simulation when
@@ -130,8 +126,7 @@ class FigureSweep
 
     /**
      * Execute one registered block and return its rows. A census
-     * block computes its own census (the census functions are
-     * deterministic, so a census recomputed on another worker yields
+     * block computes its own census (the census is deterministic, so a census recomputed on another worker yields
      * the same rows as run()'s shared census). Under opt.modelOnly a
      * sim block returns no rows, mirroring run(). Panics on an
      * out-of-range index — callers validate against blockCount().
@@ -154,7 +149,6 @@ class FigureSweep
     struct Calibration
     {
         trace::WorkloadConfig wl;
-        CensusFn census;
         std::string key;
     };
 

@@ -95,8 +95,7 @@ FleetCore::FleetCore(const FleetConfig &cfg)
     : cfg_(cfg), pool_(validated(cfg_).workers,
                        cfg_.attemptsPerWorker, cfg_.probeMs)
 {
-    inform("fleet: %zu workers, sweep split %s, degrade %s",
-           pool_.size(), cfg_.splitSweeps ? "on" : "off",
+    inform("fleet: %zu workers, degrade %s", pool_.size(),
            cfg_.degradeToModel ? "on" : "off");
 }
 
@@ -206,8 +205,7 @@ FleetCore::handleSubmit(const std::string &client,
 
     std::string response;
     std::size_t blocks = 1;
-    if (spec.kind == service::JobKind::Sweep && spec.sweepPart < 0 &&
-        cfg_.splitSweeps)
+    if (spec.kind == service::JobKind::Sweep && spec.sweepPart < 0)
         blocks = figures::figureBlockCount(
             spec.figure, figures::FigureOptions{}, spec.fig6Cholesky);
     if (blocks > 1)

@@ -55,13 +55,6 @@ struct FleetConfig
     std::size_t retainDone = 1024;
 
     /**
-     * Split sweep jobs into per-block subjobs fanned out across the
-     * fleet (reassembled byte-identically). Off forwards a sweep to
-     * one worker whole.
-     */
-    bool splitSweeps = true;
-
-    /**
      * When no worker can answer (all dead, or all shedding), answer
      * degradable jobs from the coordinator's own analytic-model tier
      * (tagged degraded:true) instead of failing. Mirrors the worker

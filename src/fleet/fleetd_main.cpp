@@ -46,9 +46,6 @@ usage()
         "  --retain N          finished records kept for polling "
         "(default 1024)\n"
         "  --salt S            fleet identity salt (sharding)\n"
-        "  --no-split          forward sweeps whole instead of "
-        "splitting\n"
-        "                      them into per-block subjobs\n"
         "  --degrade           when no worker can answer, serve "
         "degradable\n"
         "                      jobs from the local analytic-model "
@@ -101,8 +98,6 @@ main(int argc, char **argv)
                 need_value("--retain").c_str(), nullptr, 10);
         } else if (arg == "--salt") {
             cfg.salt = need_value("--salt");
-        } else if (arg == "--no-split") {
-            cfg.splitSweeps = false;
         } else if (arg == "--degrade") {
             cfg.degradeToModel = true;
         } else if (arg == "--jobs-per-sweep") {

@@ -90,11 +90,6 @@ struct RingConfig
      */
     unsigned stageDistance(NodeId from, NodeId to) const;
 
-    /** Pure propagation time from node @p from to node @p to. */
-    Tick hopTime(NodeId from, NodeId to) const {
-        return static_cast<Tick>(stageDistance(from, to)) * clockPeriod;
-    }
-
     /**
      * All misconfigurations, as human-readable messages (empty when
      * the config is sound). Callers that can recover use this;

@@ -8,16 +8,6 @@
 
 namespace ringsim::ring {
 
-void
-RingClient::onVisits(SlotRing &ring, const SlotVisit *begin,
-                     const SlotVisit *end)
-{
-    for (const SlotVisit *v = begin; v != end; ++v) {
-        SlotHandle handle = ring.visitHandle(*v);
-        onSlot(handle);
-    }
-}
-
 RingMessage
 SlotHandle::remove()
 {
@@ -52,7 +42,6 @@ SlotHandle::remove()
     }
     unsigned t = SlotRing::typeIndex(ring_.types_[s]);
     std::uint64_t bit = std::uint64_t(1) << (s & 63);
-    ring_.occ_[t * ring_.words_ + (s >> 6)] &= ~bit;
     ring_.occAny_[s >> 6] &= ~bit;
     ring_.corrupt_[s >> 6] &= ~bit;
     ring_.accrueOccupancy();
@@ -71,7 +60,6 @@ SlotHandle::insert(const RingMessage &msg)
     unsigned s = slot_;
     unsigned t = SlotRing::typeIndex(ring_.types_[s]);
     std::uint64_t bit = std::uint64_t(1) << (s & 63);
-    ring_.occ_[t * ring_.words_ + (s >> 6)] |= bit;
     ring_.occAny_[s >> 6] |= bit;
     ring_.corrupt_[s >> 6] &= ~bit;
     ring_.accrueOccupancy();
@@ -109,7 +97,6 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     unsigned nslots = static_cast<unsigned>(types_.size());
     stages_ = stages;
     words_ = (nslots + 63) / 64;
-    occ_.assign(std::size_t(3) * words_, 0);
     occAny_.assign(words_, 0);
     corrupt_.assign(words_, 0);
     msgs_.assign(nslots, RingMessage{});
@@ -144,12 +131,6 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     }
     visitHead_[stages] = static_cast<std::uint32_t>(visits_.size());
 
-    // Scratch for one rotation's gathered visits. Sized once — a
-    // rotation visits at most one slot per node — and filled through
-    // raw pointers, so the gather loop carries no size/capacity
-    // bookkeeping.
-    batch_.assign(config_.nodes, SlotVisit{});
-
     tracked_.assign(config_.nodes, 0);
     pending_.assign(config_.nodes, 0);
 }
@@ -170,20 +151,6 @@ SlotRing::setClient(NodeId n, RingClient &client)
         pending_[n] = 0;
         --pendingCount_;
     }
-    refreshUniformClient();
-}
-
-void
-SlotRing::refreshUniformClient()
-{
-    RingClient *u = clients_.empty() ? nullptr : clients_[0];
-    for (RingClient *c : clients_) {
-        if (c != u) {
-            u = nullptr;
-            break;
-        }
-    }
-    uniformClient_ = u;
 }
 
 void
@@ -251,7 +218,6 @@ SlotRing::injectFaults(Count cycle)
                 // retry timeout can recover it. Not counted as removed.
                 unsigned t = typeIndex(types_[s]);
                 std::uint64_t bit = std::uint64_t(1) << (s & 63);
-                occ_[t * words_ + w] &= ~bit;
                 occAny_[w] &= ~bit;
                 corrupt_[w] &= ~bit;
                 accrueOccupancy();
@@ -334,54 +300,22 @@ SlotRing::scheduledTick()
         return;
     }
 
-    unsigned r = rot_;
-    if (uniformClient_) {
-        batchedTick(r);
-    } else {
-        const SlotVisit *v = visits_.data() + visitHead_[r];
-        const SlotVisit *end = visits_.data() + visitHead_[r + 1];
-        work_.scheduledVisits += static_cast<Count>(end - v);
-        for (; v != end; ++v) {
-            bool occupied = bitTest(occAny_, v->slot);
-            if (!wantsVisit(*v, occupied))
-                continue;
-            ++work_.dispatchedVisits;
-            work_.occupiedDispatches += occupied;
-            SlotHandle handle(*this, v->slot, v->node);
-            clients_[v->node]->onSlot(handle);
-        }
+    const SlotVisit *v = visits_.data() + visitHead_[rot_];
+    const SlotVisit *end = visits_.data() + visitHead_[rot_ + 1];
+    work_.scheduledVisits += static_cast<Count>(end - v);
+    for (; v != end; ++v) {
+        bool occupied = bitTest(occAny_, v->slot);
+        if (!wantsVisit(*v, occupied))
+            continue;
+        ++work_.dispatchedVisits;
+        work_.occupiedDispatches += occupied;
+        SlotHandle handle(*this, v->slot, v->node);
+        clients_[v->node]->onSlot(handle);
     }
 
     if (++rot_ == stages_)
         rot_ = 0;
     ++rotations_;
-}
-
-void
-SlotRing::batchedTick(unsigned r)
-{
-    // Gather the rotation's live visits, then hand them to the single
-    // client in one call. Gathering before dispatch is equivalent to
-    // the lazy walk because a handler may only mutate the visited
-    // slot and the visited node's own pending flags (the onVisits
-    // contract), and no slot or node appears twice in one rotation.
-    SlotVisit *out = batch_.data();
-    const SlotVisit *v = visits_.data() + visitHead_[r];
-    const SlotVisit *vend = visits_.data() + visitHead_[r + 1];
-    work_.scheduledVisits += static_cast<Count>(vend - v);
-    Count occupied_visits = 0;
-    for (; v != vend; ++v) {
-        bool occupied = bitTest(occAny_, v->slot);
-        if (!wantsVisit(*v, occupied))
-            continue;
-        occupied_visits += occupied;
-        *out++ = *v;
-    }
-    if (out != batch_.data()) {
-        work_.dispatchedVisits += static_cast<Count>(out - batch_.data());
-        work_.occupiedDispatches += occupied_visits;
-        uniformClient_->onVisits(*this, batch_.data(), out);
-    }
 }
 
 void

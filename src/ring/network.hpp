@@ -18,19 +18,18 @@
  *
  * The steady-state tick is schedule-driven and data-oriented
  * (DESIGN.md section 11). Slot state lives in structure-of-arrays
- * form: per-type occupancy and corruption bitmaps plus a dense message
- * array on the hot side, traversal-audit fields on a cold side touched
- * only by insert/remove/monitor paths. A visitation table precomputed
- * per rotation offset replaces the per-node modulo scan, and when one
- * client serves every node the rotation's live visits are handed to it
- * in one RingClient::onVisits call. Nodes that opted in via
- * enableIdleSkip() are only visited when the arriving slot carries a
- * message that names them (or is corrupt), or when the node flagged
- * pending work via notifyPending() and the slot is empty, and a fully
- * quiescent ring fast-forwards across idle cycles in O(1). The
- * original scan loop is retained behind RingConfig::referenceTickPath
- * and the two are held byte-identical by
- * tests/ring/golden_equivalence_test.cpp.
+ * form: occupancy and corruption bitmaps, per-type occupied counts and
+ * a dense message array on the hot side, traversal-audit fields on a
+ * cold side touched only by insert/remove/monitor paths. A visitation
+ * table precomputed per rotation offset replaces the per-node modulo
+ * scan, and one loop walks the rotation's entries, calling onSlot for
+ * each visit that can act. Nodes that opted in via enableIdleSkip()
+ * are only visited when the arriving slot carries a message that
+ * names them (or is corrupt), or when the node flagged pending work
+ * via notifyPending() and the slot is empty, and a fully quiescent
+ * ring fast-forwards across idle cycles in O(1). The original scan
+ * loop is retained behind RingConfig::referenceTickPath and the two
+ * are held byte-identical by tests/ring/golden_equivalence_test.cpp.
  */
 
 #ifndef RINGSIM_RING_NETWORK_HPP
@@ -87,13 +86,6 @@ static_assert(sizeof(RingMessage) == 32,
 
 class SlotRing;
 
-/** One (node, slot) dispatch in a rotation's visitation schedule. */
-struct SlotVisit
-{
-    NodeId node;
-    std::uint32_t slot;
-};
-
 /**
  * Deterministic counts of the schedule-driven tick's dispatch work (the
  * reference scan counts nothing). Kept out of every RunResult (and so
@@ -104,7 +96,7 @@ struct RingWork
 {
     /** Schedule entries the tick walked (quiescent ticks walk none). */
     Count scheduledVisits = 0;
-    /** Visits handed to a client (onSlot or onVisits). */
+    /** Visits handed to a client's onSlot. */
     Count dispatchedVisits = 0;
     /** Dispatched visits whose slot was occupied. */
     Count occupiedDispatches = 0;
@@ -112,8 +104,7 @@ struct RingWork
 
 /**
  * A node's view of the slot whose header just reached it. Valid only
- * for the duration of the RingClient::onSlot call (or, for a batched
- * client, until the onVisits call returns).
+ * for the duration of the RingClient::onSlot call.
  */
 class SlotHandle
 {
@@ -172,28 +163,18 @@ class RingClient
   public:
     virtual ~RingClient() = default;
 
-    /** A slot header reached this node's interface. */
-    virtual void onSlot(SlotHandle &slot) = 0;
-
     /**
-     * Batch hook: all live visits of one rotation, in the same order
-     * the per-visit path would dispatch them (ascending node). Called
-     * instead of per-visit onSlot when one client object serves every
-     * node (setClient with the same object for all nodes); the default
-     * implementation loops over onSlot, so implementing it is an
-     * optimization, never a requirement.
+     * A slot header reached this node's interface. Within one cycle
+     * the ring visits nodes in ascending order, each at most once.
      *
-     * Contract for implementers (see DESIGN.md section 11): the visit
-     * list is gathered before the first dispatch, so a handler must
-     * only mutate state attributed to the node being visited — its own
-     * slot via the SlotHandle, and its own node's pending flags via
+     * Contract (DESIGN.md section 11): a handler mutates only state
+     * attributed to the node being visited — its own slot via the
+     * SlotHandle, and its own node's pending flags via
      * notifyPending()/clearPending(). It must not call setClient() or
      * touch another node's pending flags synchronously; cross-node
-     * effects go through kernel events, exactly as the per-visit path
-     * already requires.
+     * effects go through kernel events.
      */
-    virtual void onVisits(SlotRing &ring, const SlotVisit *begin,
-                          const SlotVisit *end);
+    virtual void onSlot(SlotHandle &slot) = 0;
 };
 
 /**
@@ -227,7 +208,9 @@ class SlotRing
      *
      * A client that opts in MUST call notifyPending()/clearPending()
      * as work to insert appears and drains; otherwise it would never
-     * be offered an empty slot. setClient() revokes the opt-in for
+     * be offered an empty slot. It too keeps the RingClient::onSlot
+     * contract: a handler flags only its own node, and reaches other
+     * nodes through kernel events. setClient() revokes the opt-in for
      * that node (the new client has not promised anything).
      */
     void enableIdleSkip(NodeId n);
@@ -299,11 +282,6 @@ class SlotRing
     /** Which parity probe slot serves @p addr. */
     SlotType probeTypeFor(Addr addr) const;
 
-    /** Handle for one scheduled visit (for onVisits implementations). */
-    SlotHandle visitHandle(const SlotVisit &v) {
-        return SlotHandle(*this, v.slot, v.node);
-    }
-
     /**
      * Zero the occupancy/throughput statistics. Used at the end of the
      * warmup window so reported figures cover only the measured phase.
@@ -329,16 +307,21 @@ class SlotRing
     /** One ring cycle: the ticker's handler. */
     void tick(Count cycle);
     void referenceTick();
-    /** General (guarded) schedule-driven cycle. */
+    /** Schedule-driven cycle: walk the rotation's visits. */
     void scheduledTick();
-    /** Gather one rotation's live visits and batch-dispatch them. */
-    void batchedTick(unsigned r);
+
+    /** One (node, slot) dispatch in a rotation's visitation schedule. */
+    struct SlotVisit
+    {
+        NodeId node;
+        std::uint32_t slot;
+    };
 
     /**
-     * The visit predicate of both scheduled paths: must node v.node
-     * see slot v.slot now? Untracked nodes see every slot; a tracked
-     * node sees an empty slot while pending, and an occupied one when
-     * it is the message's remover or tap or the slot is corrupt.
+     * The schedule-driven visit predicate: must node v.node see slot
+     * v.slot now? Untracked nodes see every slot; a tracked node sees
+     * an empty slot while pending, and an occupied one when it is the
+     * message's remover or tap or the slot is corrupt.
      */
     bool wantsVisit(const SlotVisit &v, bool occupied) const {
         if (!tracked_[v.node])
@@ -367,11 +350,10 @@ class SlotRing
 
     // --- Hot slot state: structure-of-arrays bitmaps -----------------
     //
-    // occ_[t*words_ + w] is the occupancy bitmap of type-t slots;
-    // occAny_[w] is the union across types (the bit the visit
-    // predicate tests). corrupt_ ⊆ occAny_ marks payload
-    // corruption. Slot types are fixed at construction (types_), so
-    // per-type counts are popcounts of the per-type words.
+    // occAny_[w] is the occupancy bitmap (the bit the visit predicate
+    // tests); corrupt_ ⊆ occAny_ marks payload corruption. Slot types
+    // are fixed at construction (types_); occCnt_ counts the occupied
+    // slots of each type.
 
     bool bitTest(const std::vector<std::uint64_t> &bm, unsigned s) const {
         return (bm[s >> 6] >> (s & 63)) & 1;
@@ -379,15 +361,6 @@ class SlotRing
     void bitSet(std::vector<std::uint64_t> &bm, unsigned s) {
         bm[s >> 6] |= std::uint64_t(1) << (s & 63);
     }
-    void bitClear(std::vector<std::uint64_t> &bm, unsigned s) {
-        bm[s >> 6] &= ~(std::uint64_t(1) << (s & 63));
-    }
-
-    /** Occupied slots of type index @p t. Maintained incrementally at
-     *  insert/remove/drop (a per-cycle popcount is an out-of-line
-     *  libcall on baseline x86-64). */
-    unsigned occupiedOfType(unsigned t) const { return occCnt_[t]; }
-
     /**
      * Fold the cycles since the last occupancy change into the
      * integrals. Must run before any occCnt_ mutation; between
@@ -411,9 +384,6 @@ class SlotRing
                    (cycles_ - occAccruedAt_);
     }
 
-    /** Recompute uniformClient_ after a setClient(). */
-    void refreshUniformClient();
-
     sim::Kernel &kernel_;
     RingConfig config_;
     sim::Ticker ticker_;
@@ -426,14 +396,13 @@ class SlotRing
 
     /** Per-slot type, fixed at construction. */
     std::vector<SlotType> types_;
-    /** Per-type occupancy bitmaps, 3 * words_ words. */
-    std::vector<std::uint64_t> occ_;
-    /** Per-type occupied-slot counts (== popcount of occ_[t]). */
+    /** Occupied slots of each type index (the occupancy integrals'
+     *  rates), maintained at insert/remove/drop. */
     unsigned occCnt_[3] = {0, 0, 0};
     /** Total occupied slots (sum of occCnt_; one load on the tick
      *  path). */
     unsigned occTotal_ = 0;
-    /** Union of the three per-type occupancy bitmaps. */
+    /** Occupancy bitmap over all slots. */
     std::vector<std::uint64_t> occAny_;
     /** Payload-corruption bitmap (always a subset of occAny_). */
     std::vector<std::uint64_t> corrupt_;
@@ -462,8 +431,6 @@ class SlotRing
     /** nodeAtPos_[stage] = node anchored at that stage, or invalid. */
     std::vector<NodeId> nodePos_;
     std::vector<RingClient *> clients_;
-    /** The single client serving every node, or null if mixed. */
-    RingClient *uniformClient_ = nullptr;
 
     /**
      * Visitation schedule: visits_[visitHead_[r] .. visitHead_[r+1])
@@ -473,11 +440,6 @@ class SlotRing
      */
     std::vector<SlotVisit> visits_;
     std::vector<std::uint32_t> visitHead_;
-
-    /** Scratch for one rotation's gathered visits; permanently sized
-     *  to one entry per node (a rotation's maximum) so the gather
-     *  loop writes through a raw pointer with no vector bookkeeping. */
-    std::vector<SlotVisit> batch_;
 
     /** tracked_[n]: node n opted into idle skipping (enableIdleSkip). */
     std::vector<std::uint8_t> tracked_;

@@ -4,9 +4,9 @@
 #include <stdexcept>
 #include <thread>
 
+#include "coherence/driver.hpp"
 #include "core/system.hpp"
 #include "model/bus_model.hpp"
-#include "model/calibration.hpp"
 #include "model/result.hpp"
 #include "model/ring_model.hpp"
 #include "util/logging.hpp"
@@ -479,7 +479,7 @@ util::JsonValue
 executeModel(const JobSpec &spec)
 {
     trace::WorkloadConfig wl = workloadFor(spec);
-    coherence::Census census = model::calibrate(wl);
+    coherence::Census census = coherence::runFunctional(wl);
     model::ModelResult r;
     if (spec.protocol == "bus") {
         model::BusModelInput in;

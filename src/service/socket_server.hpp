@@ -51,12 +51,6 @@ class SocketServer
     /** The endpoint string this server was built with. */
     const std::string &endpoint() const { return endpoint_; }
 
-    /** Connection-thread lifecycle counters (for tests). */
-    ConnectionRegistry::Counts connectionCounts() const
-    {
-        return conns_.counts();
-    }
-
   private:
     void handleConnection(int fd, std::string client);
 

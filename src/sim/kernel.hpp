@@ -98,12 +98,6 @@ struct KernelStats
 
     /** Wall-clock seconds spent inside run(). */
     double runSeconds = 0;
-
-    /** Events fired per wall-clock second inside run() (0 if unknown). */
-    double eventsPerSecond() const {
-        return runSeconds > 0 ? static_cast<double>(processed) / runSeconds
-                              : 0.0;
-    }
 };
 
 /**
@@ -150,11 +144,6 @@ class Kernel
      * The event must not already be scheduled.
      */
     void schedule(Event &event, Tick when);
-
-    /** Schedule a reusable event @p delta ticks from now. */
-    void scheduleIn(Event &event, Tick delta) {
-        schedule(event, now_ + delta);
-    }
 
     /** Post a one-shot callable at absolute time @p when (>= now). */
     template <typename F>

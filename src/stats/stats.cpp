@@ -109,41 +109,4 @@ Histogram::reset()
     underflow_ = overflow_ = total_ = 0;
 }
 
-void
-Registry::record(const std::string &name, double value)
-{
-    for (auto &entry : entries_) {
-        if (entry.first == name) {
-            entry.second = value;
-            return;
-        }
-    }
-    entries_.emplace_back(name, value);
-}
-
-double
-Registry::get(const std::string &name) const
-{
-    for (const auto &entry : entries_)
-        if (entry.first == name)
-            return entry.second;
-    panic("stats::Registry: no stat named '%s'", name.c_str());
-}
-
-bool
-Registry::has(const std::string &name) const
-{
-    for (const auto &entry : entries_)
-        if (entry.first == name)
-            return true;
-    return false;
-}
-
-void
-Registry::dump(std::ostream &os) const
-{
-    for (const auto &entry : entries_)
-        os << entry.first << " = " << entry.second << '\n';
-}
-
 } // namespace ringsim::stats

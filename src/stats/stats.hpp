@@ -2,18 +2,16 @@
  * @file
  * Lightweight statistics primitives used by every simulator component.
  *
- * The design follows the gem5 stats package in spirit (named stats that
- * components register and a central dump) but is deliberately small:
- * counters, running means (Welford), histograms and a registry.
+ * Deliberately small: counters, running means (Welford) and
+ * histograms.
  */
 
 #ifndef RINGSIM_STATS_STATS_HPP
 #define RINGSIM_STATS_STATS_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "util/units.hpp"
@@ -128,32 +126,6 @@ class Histogram
     Count underflow_ = 0;
     Count overflow_ = 0;
     Count total_ = 0;
-};
-
-/**
- * A named collection of scalar stats for end-of-run reporting.
- * Components append (name, value) pairs; dump() renders them.
- */
-class Registry
-{
-  public:
-    /** Record a scalar under @p name. */
-    void record(const std::string &name, double value);
-
-    /** Look up a previously recorded scalar; panics if absent. */
-    double get(const std::string &name) const;
-
-    /** True if @p name has been recorded. */
-    bool has(const std::string &name) const;
-
-    /** Render "name = value" lines, in insertion order. */
-    void dump(std::ostream &os) const;
-
-    /** Number of recorded entries. */
-    size_t size() const { return entries_.size(); }
-
-  private:
-    std::vector<std::pair<std::string, double>> entries_;
 };
 
 } // namespace ringsim::stats

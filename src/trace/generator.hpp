@@ -43,9 +43,6 @@ class SyntheticStream : public RefStream
 
     bool next(TraceRecord &out) override;
 
-    /** Data references emitted so far. */
-    Count dataEmitted() const { return dataEmitted_; }
-
   private:
     /** Next private-data block index for this processor. */
     std::uint64_t nextPrivateBlock();

@@ -56,20 +56,6 @@ ticksToNs(Tick t)
     return static_cast<double>(t) / static_cast<double>(tickNs);
 }
 
-/** Clock period in ticks for a frequency given in MHz. */
-constexpr Tick
-mhzToPeriod(double mhz)
-{
-    return static_cast<Tick>(1e6 / mhz + 0.5);
-}
-
-/** Processor cycle time (ns) to sustained MIPS at 1 instruction/cycle. */
-constexpr double
-cycleNsToMips(double cycle_ns)
-{
-    return 1e3 / cycle_ns;
-}
-
 } // namespace ringsim
 
 #endif // RINGSIM_UTIL_UNITS_HPP

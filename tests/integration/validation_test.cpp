@@ -11,9 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/coherence/driver.hpp"
 #include "src/core/system.hpp"
 #include "src/model/bus_model.hpp"
-#include "src/model/calibration.hpp"
 #include "src/model/ring_model.hpp"
 
 namespace ringsim {
@@ -45,7 +45,7 @@ TEST_P(RingValidation, ModelTracksSimulation)
 {
     auto [b, procs, proto] = GetParam();
     auto wl = workload(b, procs);
-    coherence::Census census = model::calibrate(wl);
+    coherence::Census census = coherence::runFunctional(wl);
 
     auto cfg = core::RingSystemConfig::forProcs(procs);
     core::ProtocolKind kind = proto == model::RingProtocol::Snoop
@@ -89,7 +89,7 @@ TEST_P(BusValidation, ModelTracksSimulation)
 {
     auto [b, procs] = GetParam();
     auto wl = workload(b, procs);
-    coherence::Census census = model::calibrate(wl);
+    coherence::Census census = coherence::runFunctional(wl);
 
     auto cfg = core::BusSystemConfig::forProcs(procs);
     core::RunResult sim = core::runBusSystem(cfg, wl);
@@ -127,7 +127,7 @@ TEST(Validation, HeadlineResultHolds)
     // directory on the ring for MP3D at every size (Section 6).
     for (unsigned procs : {8u, 16u, 32u}) {
         auto wl = workload(trace::Benchmark::MP3D, procs);
-        coherence::Census census = model::calibrate(wl);
+        coherence::Census census = coherence::runFunctional(wl);
         for (double cycle_ns : {20.0, 10.0, 5.0}) {
             model::RingModelInput in;
             in.census = census;
@@ -149,7 +149,7 @@ TEST(Validation, RingOutlastsBusAsProcessorsSpeedUp)
     // with the 250 MHz ring for slow processors but falls behind for
     // fast ones (MP3D).
     auto wl = workload(trace::Benchmark::MP3D, 8);
-    coherence::Census census = model::calibrate(wl);
+    coherence::Census census = coherence::runFunctional(wl);
 
     auto ring_util = [&](double cycle_ns) {
         model::RingModelInput in;
@@ -184,7 +184,7 @@ TEST(Validation, RingNeverSaturatesInPaperConfigs)
                                trace::Benchmark::CHOLESKY}) {
         for (unsigned procs : {8u, 16u, 32u}) {
             auto wl = workload(b, procs);
-            coherence::Census census = model::calibrate(wl);
+            coherence::Census census = coherence::runFunctional(wl);
             model::RingModelInput in;
             in.census = census;
             in.ring = core::RingSystemConfig::forProcs(procs).ring;

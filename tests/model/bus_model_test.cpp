@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/coherence/driver.hpp"
 #include "src/model/bus_model.hpp"
-#include "src/model/calibration.hpp"
 
 namespace ringsim::model {
 namespace {
@@ -18,7 +18,7 @@ input(trace::Benchmark b, unsigned procs, double cycle_ns,
     auto cfg = trace::workloadPreset(b, procs);
     cfg.dataRefsPerProc = 20000;
     BusModelInput in;
-    in.census = calibrate(cfg);
+    in.census = coherence::runFunctional(cfg);
     in.bus = core::BusSystemConfig::forProcs(procs, bus_period).bus;
     in.system.procCycle = nsToTicks(cycle_ns);
     return in;

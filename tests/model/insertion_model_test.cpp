@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/model/calibration.hpp"
+#include "src/coherence/driver.hpp"
 #include "src/model/insertion_model.hpp"
 
 namespace ringsim::model {
@@ -18,7 +18,7 @@ input(trace::Benchmark b, unsigned procs, double cycle_ns)
     auto cfg = trace::workloadPreset(b, procs);
     cfg.dataRefsPerProc = 20000;
     RingModelInput in;
-    in.census = calibrate(cfg);
+    in.census = coherence::runFunctional(cfg);
     in.ring = core::RingSystemConfig::forProcs(procs).ring;
     in.system.procCycle = nsToTicks(cycle_ns);
     in.protocol = RingProtocol::Directory;

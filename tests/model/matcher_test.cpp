@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/model/calibration.hpp"
+#include "src/coherence/driver.hpp"
 #include "src/model/matcher.hpp"
 
 namespace ringsim::model {
@@ -17,7 +17,7 @@ busInput(trace::Benchmark b, unsigned procs, double cycle_ns)
     auto cfg = trace::workloadPreset(b, procs);
     cfg.dataRefsPerProc = 20000;
     BusModelInput in;
-    in.census = calibrate(cfg);
+    in.census = coherence::runFunctional(cfg);
     in.bus = core::BusSystemConfig::forProcs(procs).bus;
     in.system.procCycle = nsToTicks(cycle_ns);
     return in;

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/model/calibration.hpp"
+#include "src/coherence/driver.hpp"
 #include "src/model/ring_model.hpp"
 
 namespace ringsim::model {
@@ -17,7 +17,7 @@ census(trace::Benchmark b, unsigned procs)
 {
     auto cfg = trace::workloadPreset(b, procs);
     cfg.dataRefsPerProc = 20000;
-    return calibrate(cfg);
+    return coherence::runFunctional(cfg);
 }
 
 RingModelInput

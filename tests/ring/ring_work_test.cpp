@@ -2,9 +2,10 @@
  * @file
  * SlotRing::work() on a full system: with addressed dispatch, an
  * occupied slot reaches only the nodes its message names, so the
- * occupied-slot dispatches of a fault-free snooping run are bounded by
- * the messages inserted — two per probe (its tap and its returning
- * source) and one per block message (its destination).
+ * occupied-slot dispatches of a fault-free run are bounded by the
+ * messages inserted. A snoop probe names two nodes (its tap and its
+ * returning source) and a block message one (its destination); a
+ * directory message names only its remover.
  */
 
 #include <gtest/gtest.h>
@@ -13,13 +14,25 @@
 #include <vector>
 
 #include "src/core/processor.hpp"
+#include "src/core/ring_directory.hpp"
 #include "src/core/ring_snoop.hpp"
 #include "src/trace/generator.hpp"
 
 namespace ringsim::core {
 namespace {
 
-TEST(RingWork, SnoopOccupiedDispatchesBoundedByInserts)
+/** Messages a run inserted, and the ring's dispatch work. */
+struct FftRun
+{
+    Count probes = 0;
+    Count blocks = 0;
+    ring::RingWork work;
+};
+
+/** The 64-node FFT workload run to completion under @p Protocol. */
+template <typename Protocol>
+FftRun
+runFft64()
 {
     constexpr unsigned procs = 64;
     auto wl = trace::workloadPreset(trace::Benchmark::FFT, procs);
@@ -34,8 +47,7 @@ TEST(RingWork, SnoopOccupiedDispatchesBoundedByInserts)
     auto cfg = RingSystemConfig::forProcs(procs);
     ring::SlotRing ring_net(kernel, cfg.ring);
     Metrics metrics(procs);
-    RingSnoopProtocol protocol(kernel, cfg.common, engine, ring_net,
-                               metrics);
+    Protocol protocol(kernel, cfg.common, engine, ring_net, metrics);
 
     bool done = false;
     std::vector<std::unique_ptr<Processor>> cpus;
@@ -55,16 +67,30 @@ TEST(RingWork, SnoopOccupiedDispatchesBoundedByInserts)
     // quiescent, and it fast-forwards to the bound instead of hanging.
     kernel.run(nsToTicks(1'000'000'000));
     ring_net.stop();
-    ASSERT_TRUE(done) << "a processor stalled on a transaction";
+    EXPECT_TRUE(done) << "a processor stalled on a transaction";
 
-    Count probes = ring_net.inserted(ring::SlotType::ProbeEven) +
-                   ring_net.inserted(ring::SlotType::ProbeOdd);
-    Count blocks = ring_net.inserted(ring::SlotType::Block);
-    const ring::RingWork &work = ring_net.work();
-    ASSERT_GT(probes, 1000u) << "the run must put real traffic on the ring";
-    EXPECT_LE(work.occupiedDispatches, 2 * probes + blocks);
-    EXPECT_LE(work.occupiedDispatches, work.dispatchedVisits);
-    EXPECT_LE(work.dispatchedVisits, work.scheduledVisits);
+    FftRun run;
+    run.probes = ring_net.inserted(ring::SlotType::ProbeEven) +
+                 ring_net.inserted(ring::SlotType::ProbeOdd);
+    run.blocks = ring_net.inserted(ring::SlotType::Block);
+    run.work = ring_net.work();
+    EXPECT_GT(run.probes, 1000u)
+        << "the run must put real traffic on the ring";
+    EXPECT_LE(run.work.occupiedDispatches, run.work.dispatchedVisits);
+    EXPECT_LE(run.work.dispatchedVisits, run.work.scheduledVisits);
+    return run;
+}
+
+TEST(RingWork, SnoopOccupiedDispatchesBoundedByInserts)
+{
+    FftRun run = runFft64<RingSnoopProtocol>();
+    EXPECT_LE(run.work.occupiedDispatches, 2 * run.probes + run.blocks);
+}
+
+TEST(RingWork, DirectoryOccupiedDispatchesBoundedByInserts)
+{
+    FftRun run = runFft64<RingDirectoryProtocol>();
+    EXPECT_LE(run.work.occupiedDispatches, run.probes + run.blocks);
 }
 
 } // namespace

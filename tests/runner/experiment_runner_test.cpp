@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "coherence/driver.hpp"
-#include "model/calibration.hpp"
 #include "model/ring_model.hpp"
 #include "runner/experiment_runner.hpp"
 #include "trace/workload.hpp"
@@ -299,7 +298,7 @@ miniSweep(unsigned jobs)
     std::vector<std::function<coherence::Census()>> calibrations;
     for (const trace::WorkloadConfig &wl : workloads)
         calibrations.push_back(
-            [wl]() { return model::calibrate(wl); });
+            [wl]() { return coherence::runFunctional(wl); });
     std::vector<coherence::Census> censuses =
         runAll(std::move(calibrations), jobs);
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "src/stats/stats.hpp"
 
@@ -140,35 +139,6 @@ TEST(HistogramDeathTest, BadGeometryPanics)
 {
     EXPECT_DEATH(Histogram(1.0, 0.0, 4), "hi > lo");
     EXPECT_DEATH(Histogram(0.0, 1.0, 0), "bucket");
-}
-
-TEST(Registry, RecordAndGet)
-{
-    Registry r;
-    r.record("a", 1.5);
-    r.record("b", 2.5);
-    EXPECT_TRUE(r.has("a"));
-    EXPECT_FALSE(r.has("c"));
-    EXPECT_DOUBLE_EQ(r.get("b"), 2.5);
-}
-
-TEST(Registry, OverwriteKeepsOrder)
-{
-    Registry r;
-    r.record("a", 1.0);
-    r.record("b", 2.0);
-    r.record("a", 9.0);
-    EXPECT_EQ(r.size(), 2u);
-    EXPECT_DOUBLE_EQ(r.get("a"), 9.0);
-    std::ostringstream os;
-    r.dump(os);
-    EXPECT_EQ(os.str(), "a = 9\nb = 2\n");
-}
-
-TEST(RegistryDeathTest, MissingStatPanics)
-{
-    Registry r;
-    EXPECT_DEATH(r.get("nope"), "no stat");
 }
 
 } // namespace
