@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation substrates:
- * event-kernel throughput, slotted-ring cycle throughput, synthetic
- * trace generation rate, functional coherence-engine rate. These are
- * performance regression guards, not paper artifacts.
+ * event-kernel throughput, synthetic trace generation rate, functional
+ * coherence-engine rate, plus the ring-tick benchmarks linked in from
+ * ring_ticks.cpp. These are performance regression guards, not paper
+ * artifacts.
  *
  * Every kernel benchmark warms up explicitly before the timed loop
  * (pre-faulting the wheel buckets and one-shot pool so the steady
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "coherence/engine.hpp"
-#include "ring/network.hpp"
 #include "sim/kernel.hpp"
 #include "trace/generator.hpp"
 
@@ -31,9 +31,9 @@ namespace {
 constexpr int kWarmupEvents = 10'000;
 
 void
-warmup(sim::Kernel &kernel, int events = kWarmupEvents)
+warmup(sim::Kernel &kernel)
 {
-    for (int i = 0; i < events; ++i)
+    for (int i = 0; i < kWarmupEvents; ++i)
         kernel.runOne();
 }
 
@@ -176,34 +176,6 @@ BM_KernelFarFuture(benchmark::State &state)
     attachQueueStats(state, kernel);
 }
 BENCHMARK(BM_KernelFarFuture);
-
-/** A client that never touches the slots (pure rotation cost). */
-class IdleClient : public ring::RingClient
-{
-  public:
-    void onSlot(ring::SlotHandle &) override {}
-};
-
-void
-BM_RingCycle(benchmark::State &state)
-{
-    sim::Kernel kernel;
-    ring::RingConfig config;
-    config.nodes = static_cast<unsigned>(state.range(0));
-    ring::SlotRing ring_net(kernel, config);
-    IdleClient client;
-    for (NodeId n = 0; n < config.nodes; ++n)
-        ring_net.setClient(n, client);
-    ring_net.start(0);
-    warmup(kernel, 1000);
-    for (auto _ : state)
-        kernel.runOne();
-    ring_net.stop();
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * config.nodes);
-    attachQueueStats(state, kernel);
-}
-BENCHMARK(BM_RingCycle)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void
 BM_TraceGeneration(benchmark::State &state)

@@ -12,26 +12,16 @@
  * forward shows up as a rate gain rather than a mysteriously short
  * run.
  *
- * Two families:
- *  - BM_RingTick drives the ring shell with a synthetic client at a
- *    pinned occupancy (the controlled experiment);
- *  - BM_ProtocolTick drives the real snoop engine closed-loop, so the
- *    tracked numbers also cover production controllers; its occupancy
- *    emerges from the offered load and is reported as a counter, next
- *    to the visits the ring actually dispatched (SlotRing::work()).
- *    Node-visits per second is the scan's unit of work; a protocol
- *    tick costs what dispatched_visits says it dispatches.
+ * BM_RingTick drives the ring shell with a synthetic client at a
+ * pinned occupancy (the controlled experiment). The production
+ * controllers' per-visit work is counted deterministically by
+ * SlotRing::work() instead (tests/ring/ring_work_test.cpp).
  */
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
-#include "core/metrics.hpp"
-#include "core/ring_snoop.hpp"
 #include "ring/network.hpp"
 #include "sim/kernel.hpp"
-#include "trace/address_map.hpp"
 
 using namespace ringsim;
 
@@ -106,12 +96,7 @@ BM_RingTick(benchmark::State &state)
         while (client.placed < client.target)
             kernel.run(kernel.now() + config.roundTripTime());
     }
-    // Steady state from here on: every visit is a pure reaction, so
-    // all nodes may opt into idle skipping (ignored by the reference
-    // path).
-    for (NodeId n = 0; n < nodes; ++n)
-        ring_net.enableIdleSkip(n);
-
+    // Steady state from here on: every visit is a pure reaction.
     // Advance simulated time in fixed chunks; each iteration covers
     // the same number of ring cycles on either path. Chunks are large
     // enough that run()'s entry/exit bookkeeping (two clock reads) is
@@ -133,102 +118,5 @@ BM_RingTick(benchmark::State &state)
 BENCHMARK(BM_RingTick)
     ->ArgsProduct({{8, 16, 32, 64}, {0, 50, 100}, {0, 1}})
     ->ArgNames({"nodes", "occ", "ref"});
-
-/**
- * Closed-loop driver for the real protocol engine: each node keeps
- * @p load transactions outstanding, issuing the next one a processor
- * cycle after a completion. Addresses walk the shared footprint so
- * the engine sees a steady miss mix rather than a warmed-up cache.
- */
-class ProtocolDriver
-{
-  public:
-    sim::Kernel *kernel = nullptr;
-    core::RingProtocolBase *protocol = nullptr;
-    trace::AddressMap *map = nullptr;
-    Tick issueGap = 0;
-    std::uint64_t counter = 0;
-
-    void pump(NodeId p)
-    {
-        std::uint64_t i = counter++;
-        trace::TraceRecord rec{(i & 1) ? trace::Op::Write
-                                       : trace::Op::Read,
-                               map->sharedBlock(i % kFootprint)};
-        protocol->startTransaction(p, rec, [this, p]() {
-            kernel->postIn(issueGap, [this, p]() { pump(p); });
-        });
-    }
-
-  private:
-    /** Shared blocks cycled through; large enough to keep missing. */
-    static constexpr std::uint64_t kFootprint = 1 << 14;
-};
-
-/**
- * Arguments: nodes / outstanding transactions per node / 1 =
- * reference scan path, 0 = schedule-driven path. Items are simulated
- * node-visits, the same unit as BM_RingTick; the emergent ring
- * utilization is reported as the ring_occupancy counter.
- */
-void
-BM_ProtocolTick(benchmark::State &state)
-{
-    const unsigned nodes = static_cast<unsigned>(state.range(0));
-    const unsigned load = static_cast<unsigned>(state.range(1));
-    const bool reference = state.range(2) != 0;
-
-    sim::Kernel kernel;
-    auto cfg = core::RingSystemConfig::forProcs(nodes);
-    cfg.ring.referenceTickPath = reference;
-    trace::AddressMap map(nodes, 16, 7);
-    coherence::EngineOptions eopt;
-    coherence::FunctionalEngine engine(map, eopt);
-    ring::SlotRing ring_net(kernel, cfg.ring);
-    core::Metrics metrics(nodes);
-    core::SystemConfig sys;
-    core::RingSnoopProtocol protocol(kernel, sys, engine, ring_net,
-                                     metrics);
-
-    ProtocolDriver driver;
-    driver.kernel = &kernel;
-    driver.protocol = &protocol;
-    driver.map = &map;
-    driver.issueGap = sys.procCycle;
-
-    ring_net.start(0);
-    for (NodeId p = 0; p < nodes; ++p)
-        for (unsigned k = 0; k < load; ++k)
-            driver.pump(p);
-    // Warm up: let the in-flight population and queues reach steady
-    // state before timing.
-    kernel.run(kernel.now() + 8 * cfg.ring.roundTripTime());
-    ring_net.resetStats();
-
-    constexpr Tick kCyclesPerIter = 512;
-    Count dispatched_before = ring_net.work().dispatchedVisits;
-    Tick until = kernel.now();
-    for (auto _ : state) {
-        until += kCyclesPerIter * cfg.ring.clockPeriod;
-        kernel.run(until);
-    }
-    double occupancy = ring_net.totalOccupancy();
-    Count dispatched = ring_net.work().dispatchedVisits - dispatched_before;
-    ring_net.stop();
-
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            kCyclesPerIter * nodes);
-    state.counters["ring_occupancy"] = occupancy;
-    // Visits handed to the protocol per timed iteration (kCyclesPerIter
-    // ring cycles): deterministic, so comparable across machines.
-    state.counters["dispatched_visits"] = benchmark::Counter(
-        static_cast<double>(dispatched), benchmark::Counter::kAvgIterations);
-    state.counters["kernel_events"] =
-        static_cast<double>(kernel.stats().processed);
-}
-
-BENCHMARK(BM_ProtocolTick)
-    ->ArgsProduct({{8, 64}, {1, 8}, {0, 1}})
-    ->ArgNames({"nodes", "load", "ref"});
 
 } // namespace

@@ -19,18 +19,10 @@ RingProtocolBase::RingProtocolBase(sim::Kernel &kernel,
     queues_.resize(static_cast<size_t>(nodes_) * 3);
     queuedMsgs_.assign(nodes_, 0);
     bankFreeAt_.assign(nodes_, 0);
-    for (NodeId n = 0; n < nodes_; ++n) {
-        // One object for every node; onSlot reads the visited node
-        // from the handle.
+    // One object for every node; onSlot reads the visited node from
+    // the handle.
+    for (NodeId n = 0; n < nodes_; ++n)
         ring_.setClient(n, *this);
-        // A visit on an empty slot with empty queues does nothing, and
-        // an occupied slot is acted on only at its message's remover
-        // (dst, or the returning src of a broadcast) or tap (a snoop
-        // probe's supplier) — every handleMessage branch returns early
-        // elsewhere. So the ring may skip all other visits (and
-        // fast-forward when every node is idle).
-        ring_.enableIdleSkip(n);
-    }
 }
 
 RingProtocolBase::~RingProtocolBase() = default;

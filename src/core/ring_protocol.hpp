@@ -146,7 +146,7 @@ class RingProtocolBase : public Protocol, public ring::RingClient
     /**
      * A slot carrying a message reached node @p n. Must do nothing
      * unless @p n is the message's remover or tap: the ring dispatches
-     * the slot to no other node (SlotRing::enableIdleSkip).
+     * the slot to no other node (RingClient::onSlot).
      */
     virtual void handleMessage(NodeId n, ring::SlotHandle &slot) = 0;
 

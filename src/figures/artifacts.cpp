@@ -9,7 +9,6 @@
 #include <array>
 
 #include "figures.hpp"
-#include "model/insertion_model.hpp"
 #include "model/matcher.hpp"
 #include "ring/frame_layout.hpp"
 #include "util/logging.hpp"

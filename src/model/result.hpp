@@ -41,7 +41,8 @@ struct ModelResult
     /** Fixed-point iterations used. */
     unsigned iterations = 0;
 
-    /** True if the solver hit its iteration cap before converging. */
+    /** True if the network saturated: a ring occupancy was clamped at
+     *  0.98 during the iteration, or the bus ran above 95% busy. */
     bool saturated = false;
 };
 

@@ -131,7 +131,6 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     }
     visitHead_[stages] = static_cast<std::uint32_t>(visits_.size());
 
-    tracked_.assign(config_.nodes, 0);
     pending_.assign(config_.nodes, 0);
 }
 
@@ -141,27 +140,6 @@ SlotRing::setClient(NodeId n, RingClient &client)
     if (n >= clients_.size())
         panic("setClient: node %u out of range", n);
     clients_[n] = &client;
-    // The new client has not promised no-op empty visits; revoke any
-    // opt-in the previous one made.
-    if (tracked_[n]) {
-        tracked_[n] = 0;
-        --trackedCount_;
-    }
-    if (pending_[n]) {
-        pending_[n] = 0;
-        --pendingCount_;
-    }
-}
-
-void
-SlotRing::enableIdleSkip(NodeId n)
-{
-    if (n >= tracked_.size())
-        panic("enableIdleSkip: node %u out of range", n);
-    if (!tracked_[n]) {
-        tracked_[n] = 1;
-        ++trackedCount_;
-    }
 }
 
 void
@@ -284,11 +262,10 @@ SlotRing::referenceTick()
 void
 SlotRing::scheduledTick()
 {
-    if (occTotal_ == 0 && pendingCount_ == 0 &&
-        trackedCount_ == config_.nodes) {
-        // Fully quiescent: no message on the ring and every node both
-        // opted into idle skipping and reports nothing to insert. No
-        // onSlot call this cycle could do anything.
+    if (occTotal_ == 0 && pendingCount_ == 0) {
+        // Fully quiescent: no message on the ring and no node with
+        // anything to insert. By the reactor contract no onSlot call
+        // this cycle could do anything.
         if (++rot_ == stages_)
             rot_ = 0;
         ++rotations_;

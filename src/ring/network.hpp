@@ -23,13 +23,15 @@
  * cold side touched only by insert/remove/monitor paths. A visitation
  * table precomputed per rotation offset replaces the per-node modulo
  * scan, and one loop walks the rotation's entries, calling onSlot for
- * each visit that can act. Nodes that opted in via enableIdleSkip()
- * are only visited when the arriving slot carries a message that
- * names them (or is corrupt), or when the node flagged pending work
- * via notifyPending() and the slot is empty, and a fully quiescent
- * ring fast-forwards across idle cycles in O(1). The original scan
- * loop is retained behind RingConfig::referenceTickPath and the two
- * are held byte-identical by tests/ring/golden_equivalence_test.cpp.
+ * each visit that can act. Every client keeps the reactor contract
+ * of RingClient::onSlot, so a node is visited only when the arriving
+ * slot carries a message that names it (or is corrupt), or when the
+ * node flagged pending work via notifyPending() and the slot is empty,
+ * and a fully quiescent ring fast-forwards across idle cycles in O(1).
+ * The original scan loop, which visits every node, is retained behind
+ * RingConfig::referenceTickPath as the executable specification, and
+ * the two are held byte-identical by
+ * tests/ring/golden_equivalence_test.cpp.
  */
 
 #ifndef RINGSIM_RING_NETWORK_HPP
@@ -61,12 +63,11 @@ inline constexpr NodeId broadcastNode = invalidNode - 1;
 /**
  * A message occupying one slot.
  *
- * The message names the nodes that act on it, and a node that opted
- * into idle skipping (SlotRing::enableIdleSkip) is dispatched an
- * occupied slot only when it is one of them: the *remover* — dst, or
- * src when dst is broadcastNode (a probe returning to its sender) —
- * or the *tap*. A message with dst == invalidNode names no remover
- * and passes every opted-in node untouched.
+ * The message names the nodes that act on it, and the schedule-driven
+ * tick dispatches an occupied slot only to them (RingClient::onSlot):
+ * the *remover* — dst, or src when dst is broadcastNode (a probe
+ * returning to its sender) — and the *tap*. A message with
+ * dst == invalidNode names no remover and passes every node untouched.
  */
 struct RingMessage
 {
@@ -167,12 +168,24 @@ class RingClient
      * A slot header reached this node's interface. Within one cycle
      * the ring visits nodes in ascending order, each at most once.
      *
-     * Contract (DESIGN.md section 11): a handler mutates only state
-     * attributed to the node being visited — its own slot via the
-     * SlotHandle, and its own node's pending flags via
-     * notifyPending()/clearPending(). It must not call setClient() or
-     * touch another node's pending flags synchronously; cross-node
-     * effects go through kernel events.
+     * The reactor contract (DESIGN.md section 11), kept by every
+     * client. A handler acts — mutates state or gathers statistics —
+     * only
+     *  - on an occupied slot, as the message's remover (dst, or src
+     *    for a broadcast) or its tap (RingMessage), or to discard a
+     *    corrupt slot;
+     *  - on an empty slot, while its node is pending
+     *    (SlotRing::notifyPending() until clearPending()).
+     * Every other visit is a no-op, so the schedule-driven tick skips
+     * it, and a ring with no message and no pending node fast-forwards.
+     * A corrupt slot is dispatched to the first node it reaches, which
+     * is expected to discard it.
+     *
+     * A handler mutates only state attributed to the node being
+     * visited — its own slot via the SlotHandle, and its own node's
+     * pending flag. It must not call setClient() or touch another
+     * node's pending flag synchronously; cross-node effects go through
+     * kernel events.
      */
     virtual void onSlot(SlotHandle &slot) = 0;
 };
@@ -194,32 +207,8 @@ class SlotRing
     void setClient(NodeId n, RingClient &client);
 
     /**
-     * Declare that node @p n's client is a pure reactor. It promises
-     * that its onSlot() has no effect (it neither mutates state nor
-     * gathers statistics) when
-     *  - the slot is empty and the node has no pending work, or
-     *  - the slot is occupied, uncorrupted, and the node is neither
-     *    the message's remover (dst, or src for a broadcast) nor its
-     *    tap (see RingMessage).
-     * The ring then skips those calls, and once every node has opted
-     * in it may fast-forward across fully idle stretches. A corrupt
-     * slot is dispatched to the first opted-in node it reaches, which
-     * is expected to discard it.
-     *
-     * A client that opts in MUST call notifyPending()/clearPending()
-     * as work to insert appears and drains; otherwise it would never
-     * be offered an empty slot. It too keeps the RingClient::onSlot
-     * contract: a handler flags only its own node, and reaches other
-     * nodes through kernel events. setClient() revokes the opt-in for
-     * that node (the new client has not promised anything).
-     */
-    void enableIdleSkip(NodeId n);
-
-    /**
-     * Node @p n has work it wants to put on the ring: visit it on
-     * every slot (so it can be offered empty ones) until
-     * clearPending(). Idempotent; meaningful only after
-     * enableIdleSkip(n).
+     * Node @p n has work it wants to put on the ring: offer it every
+     * empty slot until clearPending(). Idempotent.
      */
     void notifyPending(NodeId n);
 
@@ -319,13 +308,11 @@ class SlotRing
 
     /**
      * The schedule-driven visit predicate: must node v.node see slot
-     * v.slot now? Untracked nodes see every slot; a tracked node sees
-     * an empty slot while pending, and an occupied one when it is the
-     * message's remover or tap or the slot is corrupt.
+     * v.slot now? A node sees an empty slot while pending, and an
+     * occupied one when it is the message's remover or tap or the
+     * slot is corrupt.
      */
     bool wantsVisit(const SlotVisit &v, bool occupied) const {
-        if (!tracked_[v.node])
-            return true;
         if (!occupied)
             return pending_[v.node] != 0;
         const SlotNames &names = names_[v.slot];
@@ -337,9 +324,9 @@ class SlotRing
 
     /**
      * From a fully quiescent tick (no occupied slot, no pending node,
-     * every node tracked, no injector), jump the ticker, rot_, cycles_
-     * and rotations_ across the idle gap up to — but never onto — the
-     * next foreign kernel event, in O(1). The occupancy integrals need
+     * no injector), jump the ticker, rot_, cycles_ and rotations_
+     * across the idle gap up to — but never onto — the next foreign
+     * kernel event, in O(1). The occupancy integrals need
      * no adjustment: every maintained count is zero across the gap.
      */
     void maybeFastForward();
@@ -441,11 +428,8 @@ class SlotRing
     std::vector<SlotVisit> visits_;
     std::vector<std::uint32_t> visitHead_;
 
-    /** tracked_[n]: node n opted into idle skipping (enableIdleSkip). */
-    std::vector<std::uint8_t> tracked_;
-    /** pending_[n]: tracked node n wants to insert (notifyPending). */
+    /** pending_[n]: node n wants to insert (notifyPending). */
     std::vector<std::uint8_t> pending_;
-    unsigned trackedCount_ = 0;
     unsigned pendingCount_ = 0;
 
     fault::FaultInjector *injector_ = nullptr;

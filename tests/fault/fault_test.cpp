@@ -160,6 +160,8 @@ class ScriptClient : public ring::RingClient
     Hook hook;
 };
 
+/** Eight scripted nodes. Node 1 sends in every script below, so each
+ *  marks it pending before the start (RingClient::onSlot). */
 struct RingRig
 {
     sim::Kernel kernel;
@@ -205,6 +207,7 @@ TEST(RingFaults, CorruptionFlagsSlotForNextNode)
             }
         };
     }
+    rig.net->notifyPending(1);
     rig.net->start(0);
     rig.kernel.run(nsToTicks(500));
     rig.net->stop();
@@ -239,6 +242,7 @@ TEST(RingFaults, DropErasesMessage)
             delivered = true;
         }
     };
+    rig.net->notifyPending(1);
     rig.net->start(0);
     rig.kernel.run(nsToTicks(500));
     rig.net->stop();
@@ -275,6 +279,7 @@ TEST(RingFaults, StallsDelayDeliveryWithoutLoss)
                 delivered = rig.kernel.now();
             }
         };
+        rig.net->notifyPending(1);
         rig.net->start(0);
         rig.kernel.run(nsToTicks(2000));
         rig.net->stop();
@@ -326,6 +331,7 @@ TEST(RingAudit, LateRemovalReportsTraversalOverrun)
                 slot.remove();
         }
     };
+    rig.net->notifyPending(1);
     rig.net->start(0);
     rig.kernel.run(nsToTicks(2000));
     rig.net->stop();
@@ -363,6 +369,7 @@ TEST(RingAudit, TimelyRemovalIsClean)
         if (slot.occupied() && slot.message().dst == 5)
             slot.remove();
     };
+    rig.net->notifyPending(1);
     rig.net->start(0);
     rig.kernel.run(nsToTicks(1000));
     rig.net->stop();

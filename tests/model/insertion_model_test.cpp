@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/coherence/driver.hpp"
-#include "src/model/insertion_model.hpp"
+#include "src/model/ring_model.hpp"
 
 namespace ringsim::model {
 namespace {

@@ -2,8 +2,14 @@
  * @file
  * Unit tests for the cycle-level slotted ring: delivery timing,
  * snooping visibility, parity rules, anti-starvation, occupancy, and
- * the visit predicate that decides which tracked nodes an occupied
- * slot is dispatched to.
+ * the visit predicate that decides which nodes an occupied slot is
+ * dispatched to.
+ *
+ * Every scripted client keeps the reactor contract of
+ * RingClient::onSlot: a node that inserts is pending first
+ * (notifyPending), and the cases that count every node's view of every
+ * slot run on RingConfig::referenceTickPath, the scan that visits every
+ * node.
  */
 
 #include <gtest/gtest.h>
@@ -40,8 +46,21 @@ class RingNetworkTest : public ::testing::Test
     RingNetworkTest()
     {
         config_.nodes = 8;
-        ring_ = std::make_unique<SlotRing>(kernel_, config_);
         clients_.resize(8);
+        buildRing();
+    }
+
+    /** Rebuild the ring on the reference scan: every node sees every
+     *  slot, whether or not the message names it. */
+    void useReferencePath()
+    {
+        config_.referenceTickPath = true;
+        buildRing();
+    }
+
+    void buildRing()
+    {
+        ring_ = std::make_unique<SlotRing>(kernel_, config_);
         for (NodeId n = 0; n < 8; ++n)
             ring_->setClient(n, clients_[n]);
     }
@@ -54,6 +73,7 @@ class RingNetworkTest : public ::testing::Test
 
 TEST_F(RingNetworkTest, EveryNodeSeesEverySlotOncePerRotation)
 {
+    useReferencePath();
     std::vector<Count> seen(8, 0);
     for (NodeId n = 0; n < 8; ++n)
         clients_[n].hook = [&seen, n](SlotHandle &) { ++seen[n]; };
@@ -89,6 +109,7 @@ TEST_F(RingNetworkTest, MessageDeliveredAfterStageDistance)
             delivered = kernel_.now();
         }
     };
+    ring_->notifyPending(1);
     ring_->start(0);
     kernel_.run(nsToTicks(500));
     ring_->stop();
@@ -101,6 +122,8 @@ TEST_F(RingNetworkTest, MessageDeliveredAfterStageDistance)
 
 TEST_F(RingNetworkTest, BroadcastProbeSnoopedByAllAndReturns)
 {
+    // Every node counts the probe passing it, tap or not.
+    useReferencePath();
     std::vector<int> snooped(8, 0);
     bool returned = false;
     Tick inserted = 0;
@@ -129,6 +152,7 @@ TEST_F(RingNetworkTest, BroadcastProbeSnoopedByAllAndReturns)
             }
         };
     }
+    ring_->notifyPending(2);
     ring_->start(0);
     kernel_.run(nsToTicks(500));
     ring_->stop();
@@ -155,6 +179,7 @@ TEST_F(RingNetworkTest, ParityRuleEnforced)
             EXPECT_TRUE(slot.canInsert(0x20));  // block 2: even
         }
     };
+    ring_->notifyPending(0);
     ring_->start(0);
     kernel_.run(nsToTicks(100));
     ring_->stop();
@@ -186,6 +211,7 @@ TEST_F(RingNetworkTest, AntiStarvationBlocksImmediateReuse)
             checked = true;
         }
     };
+    ring_->notifyPending(3);
     ring_->start(0);
     kernel_.run(nsToTicks(1000));
     ring_->stop();
@@ -205,8 +231,10 @@ TEST_F(RingNetworkTest, OccupancyTracksInsertions)
             msg.addr = 0;
             slot.insert(msg);
             inserted = true;
+            ring_->clearPending(0);
         }
     };
+    ring_->notifyPending(0);
     ring_->start(0);
     kernel_.run(nsToTicks(10000));
     ring_->stop();
@@ -278,6 +306,7 @@ TEST(RingNetwork, AntiStarvationOffAllowsImmediateReuse)
             checked = true;
         }
     };
+    ring_net.notifyPending(3);
     ring_net.start(0);
     kernel.run(nsToTicks(1000));
     ring_net.stop();
@@ -299,8 +328,10 @@ TEST_F(RingNetworkTest, ResetStatsMidRunOccupancy)
             msg.addr = 0;
             slot.insert(msg);
             inserted = true;
+            ring_->clearPending(0);
         }
     };
+    ring_->notifyPending(0);
     ring_->start(0);
     kernel_.run(nsToTicks(100));
     ASSERT_TRUE(inserted);
@@ -324,9 +355,9 @@ TEST_F(RingNetworkTest, ResetStatsMidRunOccupancy)
 
 TEST_F(RingNetworkTest, IdleSkipSuppressesEmptyVisitsUntilPending)
 {
-    // Track node 6's visits: once it opts into idle skipping it is
-    // only visited for occupied slots, until notifyPending restores
-    // empty-slot offers (so it can insert).
+    // Track node 6's visits: it is only visited for occupied slots
+    // that name it, until notifyPending offers it empty slots (so it
+    // can insert).
     Count visits = 0;
     Count empty_visits = 0;
     clients_[6].hook = [&](SlotHandle &slot) {
@@ -334,7 +365,6 @@ TEST_F(RingNetworkTest, IdleSkipSuppressesEmptyVisitsUntilPending)
         if (!slot.occupied())
             ++empty_visits;
     };
-    ring_->enableIdleSkip(6);
     ring_->start(0);
     kernel_.run(nsToTicks(100));
     EXPECT_EQ(visits, 0u) << "empty ring, no pending: never visited";
@@ -350,25 +380,10 @@ TEST_F(RingNetworkTest, IdleSkipSuppressesEmptyVisitsUntilPending)
     EXPECT_EQ(visits, at_clear) << "clearPending stops the offers";
 }
 
-TEST_F(RingNetworkTest, SetClientRevokesIdleSkip)
-{
-    ring_->enableIdleSkip(4);
-    ring_->setClient(4, clients_[4]);
-    Count visits = 0;
-    clients_[4].hook = [&](SlotHandle &) { ++visits; };
-    ring_->start(0);
-    kernel_.run(nsToTicks(100));
-    ring_->stop();
-    EXPECT_GT(visits, 0u)
-        << "a freshly attached client has not opted in";
-}
-
 TEST_F(RingNetworkTest, QuiescentRingFastForwardsInsideRunBound)
 {
-    // Every node tracked + empty ring: the run degenerates to O(1)
-    // kernel events while the cycle count still covers the full span.
-    for (NodeId n = 0; n < 8; ++n)
-        ring_->enableIdleSkip(n);
+    // Empty ring, no pending node: the run degenerates to O(1) kernel
+    // events while the cycle count still covers the full span.
     ring_->start(0);
     Count before = kernel_.stats().processed;
     kernel_.run(2000 * config_.clockPeriod);
@@ -384,8 +399,6 @@ TEST_F(RingNetworkTest, FastForwardWakesExactlyForPostedWork)
     // A quiescent ring fast-forwards toward a foreign event, then
     // resumes cycle-by-cycle so the woken node can insert at exactly
     // the time the cycle-accurate path would have given it.
-    for (NodeId n = 0; n < 8; ++n)
-        ring_->enableIdleSkip(n);
     bool want_insert = false;
     Tick inserted = 0;
     Tick delivered = 0;
@@ -431,7 +444,7 @@ TEST_F(RingNetworkTest, ReferencePathMatchesFastPathCycleForCycle)
 {
     // Ring-level golden check (the full-system one lives in
     // golden_equivalence_test.cpp): a scripted bounce between two
-    // pending-tracked nodes produces identical timing and statistics
+    // pending nodes produces identical timing and statistics
     // under both tick paths.
     auto run_one = [](bool reference) {
         sim::Kernel kernel;
@@ -441,15 +454,13 @@ TEST_F(RingNetworkTest, ReferencePathMatchesFastPathCycleForCycle)
         SlotRing ring_net(kernel, config);
         std::vector<ScriptClient> clients(8);
         // Nodes 1 and 5 volley a block message back and forth with an
-        // off-grid think time between volleys; everyone idle-skips, so
-        // the fast path interleaves skipped visits and fast-forwards
-        // with real work.
+        // off-grid think time between volleys, so the fast path
+        // interleaves skipped visits and fast-forwards with real work.
         std::vector<Tick> deliveries;
         std::array<bool, 8> want_insert{};
         int volleys = 5;
         for (NodeId n = 0; n < 8; ++n) {
             ring_net.setClient(n, clients[n]);
-            ring_net.enableIdleSkip(n);
             clients[n].hook = [&, n](SlotHandle &slot) {
                 if (slot.occupied()) {
                     if (slot.message().dst != n)
@@ -558,8 +569,6 @@ class VisitPredicateTest : public RingNetworkTest
 
 TEST_F(VisitPredicateTest, BroadcastReachesOnlyItsTapAndSource)
 {
-    for (NodeId n = 0; n < 8; ++n)
-        ring_->enableIdleSkip(n);
     RingMessage msg;
     msg.src = 2;
     msg.dst = broadcastNode;
@@ -576,8 +585,6 @@ TEST_F(VisitPredicateTest, BroadcastReachesOnlyItsTapAndSource)
 
 TEST_F(VisitPredicateTest, UnicastReachesOnlyItsDestination)
 {
-    for (NodeId n = 0; n < 8; ++n)
-        ring_->enableIdleSkip(n);
     RingMessage msg;
     msg.src = 1;
     msg.dst = 5;
@@ -600,8 +607,6 @@ TEST_F(VisitPredicateTest, CorruptSlotReachesFirstTrackedNode)
     fc.corruptRate = 1.0;
     fault::FaultInjector injector(fc);
     ring_->setFaultInjector(&injector);
-    for (NodeId n = 0; n < 8; ++n)
-        ring_->enableIdleSkip(n);
     RingMessage msg;
     msg.src = 1;
     msg.dst = 5;
@@ -617,31 +622,13 @@ TEST_F(VisitPredicateTest, CorruptSlotReachesFirstTrackedNode)
     EXPECT_EQ(ring_->occupiedNow(), 0u);
 }
 
-TEST_F(VisitPredicateTest, UntrackedNodeSeesEverySlot)
-{
-    // Node 3 never opts in: it sees each slot once per rotation,
-    // empty or not, while tracked node 4 is never shown the unicast.
-    for (NodeId n = 0; n < 8; ++n)
-        if (n != 3)
-            ring_->enableIdleSkip(n);
-    RingMessage msg;
-    msg.src = 1;
-    msg.dst = 5;
-    msg.addr = 0x100;
-    block_ = true;
-    countVisits(msg);
-    runLoops(2);
-    EXPECT_EQ(visits_[3].occupied, 2u);
-    EXPECT_GE(visits_[3].empty + visits_[3].occupied,
-              2u * ring_->config().totalSlots());
-    EXPECT_EQ(visits_[4].occupied, 0u);
-    EXPECT_EQ(visits_[4].empty, 0u);
-}
-
 TEST_F(RingNetworkTest, WorkCountsScheduledAndDispatchedVisits)
 {
-    // Untracked nodes: every scheduled visit is dispatched, so one
-    // rotation schedules nodes * slots visits and dispatches them all.
+    // Every node pending on an empty ring: every scheduled visit is
+    // dispatched, so one rotation schedules nodes * slots visits and
+    // dispatches them all.
+    for (NodeId n = 0; n < 8; ++n)
+        ring_->notifyPending(n);
     ring_->start(0);
     kernel_.run(static_cast<Tick>(config_.totalStages() - 1) *
                 config_.clockPeriod);
